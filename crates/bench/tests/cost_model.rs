@@ -1,7 +1,7 @@
 //! The answer must not depend on how the optimizer chose the join order
-//! or which executor ran the plan: every cell of the enumeration ×
-//! execution matrix returns byte-identical results for the paper's MS1
-//! workload.
+//! or how the executor ran the plan: every cell of the enumeration ×
+//! execution matrix (sequential/parallel × bounded/unbounded batches)
+//! returns byte-identical results for the paper's MS1 workload.
 
 use engine::unify::UnifyMode;
 use medmaker::planner::{JoinEnumeration, PlannerOptions};
@@ -25,14 +25,14 @@ fn answers_identical_across_enumeration_and_execution_matrix() {
         JoinEnumeration::Scalar,
     ] {
         for parallel in [false, true] {
-            for streaming in [true, false] {
+            for batch_size in [MediatorOptions::default().batch_size, usize::MAX] {
                 let med = paper_mediator_with(MediatorOptions {
                     planner: PlannerOptions {
                         enumeration,
                         ..Default::default()
                     },
                     parallel,
-                    streaming,
+                    batch_size,
                     unify_mode: UnifyMode::Minimal,
                     ..Default::default()
                 });
@@ -44,7 +44,7 @@ fn answers_identical_across_enumeration_and_execution_matrix() {
                     None => reference = Some(answers),
                     Some(want) => assert_eq!(
                         want, &answers,
-                        "{enumeration:?} parallel={parallel} streaming={streaming} \
+                        "{enumeration:?} parallel={parallel} batch_size={batch_size} \
                          changed the answer"
                     ),
                 }

@@ -100,9 +100,6 @@ pub struct Config {
     /// Canonical keys scoping the delta (`--key K`, repeatable;
     /// invalidate mode only).
     pub keys: Vec<String>,
-    /// Use the materializing executor instead of streaming batches
-    /// (`--materialize`).
-    pub materialize: bool,
     /// Cost-model component weights (`--cost-weights rows=1,net=5,...`).
     pub cost_weights: Option<medmaker::cost::CostWeights>,
     /// Rows per streamed batch (`--batch-size N`).
@@ -139,7 +136,7 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
                 [--retries N] [--source-deadline-ms MS] [--partial]
                 [--cache] [--cache-capacity N] [--cache-ttl-ms MS]
                 [--cache-stale-ok] [--cache-dir DIR] [--cache-warm-bytes N]
-                [--cache-fifo] [--materialize] [--batch-size N]
+                [--cache-fifo] [--batch-size N]
                 [--cost-weights K=V,...] [QUERY]
        medmaker lint SPEC [--json] [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]...
        medmaker check SPEC [--json] [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]...
@@ -184,8 +181,6 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
                     drops the lowest-value entries past it
   --cache-fifo      evict hot-tier entries oldest-first (the seed's
                     behavior) instead of cost-aware; ablation flag
-  --materialize     run the materializing executor (full table per node)
-                    instead of streaming bounded batches
   --batch-size N    rows per streamed batch (default: 1024)
   --cost-weights K=V,...
                     reweight the optimizer's cost components; keys are
@@ -350,7 +345,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
                 cfg.cache_warm_bytes = Some(n);
             }
             "--cache-fifo" => cfg.cache_fifo = true,
-            "--materialize" => cfg.materialize = true,
             "--cost-weights" => {
                 let v = it
                     .next()
@@ -565,7 +559,6 @@ pub fn build_mediator(cfg: &Config) -> Result<Mediator, String> {
         },
         fault,
         cache,
-        streaming: !cfg.materialize && defaults.streaming,
         batch_size: cfg.batch_size.unwrap_or(defaults.batch_size),
         ..defaults
     }))
@@ -1150,13 +1143,14 @@ mod tests {
 
     #[test]
     fn parse_streaming_flags() {
-        let cfg = parse_args(argv("--spec med.msl --materialize --batch-size 128 QUERY")).unwrap();
-        assert!(cfg.materialize);
+        let cfg = parse_args(argv("--spec med.msl --batch-size 128 QUERY")).unwrap();
         assert_eq!(cfg.batch_size, Some(128));
-        // Defaults: streaming executor, default batch size.
+        // Default: the executor's default batch size.
         let cfg = parse_args(argv("--spec med.msl QUERY")).unwrap();
-        assert!(!cfg.materialize);
         assert_eq!(cfg.batch_size, None);
+        // Unknown flags are rejected, including the removed executor switch.
+        let err = parse_args(argv("--spec med.msl --materialize QUERY")).unwrap_err();
+        assert!(err.contains("unknown option '--materialize'"), "{err}");
         // The batch size validates its argument and rejects zero.
         assert!(parse_args(argv("--spec s.msl --batch-size tiny")).is_err());
         assert!(parse_args(argv("--spec s.msl --batch-size 0")).is_err());

@@ -47,14 +47,10 @@ pub struct ExecOptions {
     /// parallel chains (and across queries — the [`crate::Mediator`] owns
     /// it) behind the cache's internal lock.
     pub cache: Option<Arc<AnswerCache>>,
-    /// Run each chain as a pull-based pipeline of bounded binding batches
-    /// instead of materializing a full table at every node. Set-oriented
-    /// MSL semantics are order-insensitive (§3.2), so both modes produce
-    /// identical answers; streaming bounds per-node resident rows at
-    /// `batch_size` and surfaces first answers before slow sources finish.
-    /// The materializing path is kept as a differential-testing oracle.
-    pub streaming: bool,
-    /// Upper bound on rows per streamed batch. Clamped to at least 1.
+    /// Upper bound on rows per streamed batch: each chain runs as a
+    /// pull-based pipeline of binding batches, so this bounds per-node
+    /// resident rows. Clamped to at least 1; `usize::MAX` lets every node
+    /// emit its whole output as one batch.
     pub batch_size: usize,
     /// The mediator's shared parameterized-query memo, when caching is
     /// enabled ([`crate::Mediator`] owns it alongside the answer cache).
@@ -70,7 +66,6 @@ impl Default for ExecOptions {
             parallel: false,
             fault: FaultOptions::default(),
             cache: None,
-            streaming: cfg!(feature = "streaming"),
             batch_size: 1024,
             param_memo: None,
         }
@@ -131,7 +126,7 @@ pub struct ExecOutcome {
     pub trace: QueryTrace,
 }
 
-/// Per-node counters threaded through [`exec_node`] while it runs.
+/// Per-node counters one op accumulates while it runs.
 #[derive(Default)]
 struct NodeCounters {
     source_calls: usize,
@@ -165,86 +160,15 @@ struct ChainStats {
 /// Everything one chain produced (its memory is private until merged).
 struct ChainOutcome {
     table: BindingTable,
+    /// Nanoseconds from the start of the execution to the chain's first
+    /// answer batch; 0 when it emitted none.
+    first_rows_ns: u64,
     memory: ObjectStore,
     trace: RuleTrace,
     stats: ChainStats,
     /// `Some` when a source stayed failed and the chain was abandoned —
     /// Partial mode drops just this chain, Fail mode aborts the query.
     failed: Option<MedError>,
-}
-
-/// Execute one rule chain bottom-up with its own working memory.
-fn run_chain(rule_plan: &RulePlan, ctx: &ChainCtx<'_>) -> Result<ChainOutcome> {
-    let chain_start = Instant::now();
-    let mut memory = ObjectStore::with_oid_prefix("x");
-    let mut table = BindingTable::unit();
-    let mut nodes = Vec::with_capacity(rule_plan.nodes.len());
-    let mut stats = ChainStats::default();
-    let mut failed = None;
-    for (i, node) in rule_plan.nodes.iter().enumerate() {
-        let rows_in = table.len();
-        let mut counters = NodeCounters::default();
-        let node_start = Instant::now();
-        table = match exec_node(node, table, &mut memory, ctx, &mut stats, &mut counters) {
-            Ok(t) => t,
-            Err(e @ MedError::SourceUnavailable { .. }) => {
-                // The chain is dead: record why and emit no rows. The
-                // caller decides whether that fails the query (Fail) or
-                // just drops this chain (Partial).
-                failed = Some(e);
-                BindingTable::new(Vec::new())
-            }
-            Err(e) => return Err(e),
-        };
-        let wall_ns = node_start.elapsed().as_nanos() as u64;
-        let est = rule_plan.estimates.get(i).copied().unwrap_or_default();
-        nodes.push(NodeTrace {
-            op: node.op_name().to_string(),
-            detail: node_detail(node),
-            metrics: NodeMetrics {
-                rows_in,
-                rows_out: table.len(),
-                bindings_produced: counters.bindings_produced,
-                source_calls: counters.source_calls,
-                dedup_hits: if matches!(node, Node::DupElim { .. }) {
-                    rows_in.saturating_sub(table.len())
-                } else {
-                    0
-                },
-                wall_ns,
-                est_rows: est.rows_out,
-                est_cpu_rows: est.cpu,
-                est_net_ms: est.net,
-                est_mem_rows: est.memory,
-                cache_hits: counters.cache_hits,
-                containment_hits: counters.containment_hits,
-                cache_misses: counters.cache_misses,
-                // Materializing execution holds the whole emitted table.
-                peak_batch_rows: table.len(),
-                peak_bytes_resident: table.approx_bytes(),
-            },
-            table: if ctx.trace_on {
-                table.render(&memory)
-            } else {
-                String::new()
-            },
-        });
-        if table.is_empty() {
-            break; // nothing can come out of this chain
-        }
-    }
-    Ok(ChainOutcome {
-        table,
-        memory,
-        trace: RuleTrace {
-            nodes,
-            constructed: 0, // filled in during the construction phase
-            wall_ns: chain_start.elapsed().as_nanos() as u64,
-            error: failed.as_ref().map(|e| e.to_string()),
-        },
-        stats,
-        failed,
-    })
 }
 
 /// Rewrite a table's object references through an old-id → new-id map.
@@ -267,14 +191,14 @@ fn remap_table(table: &mut BindingTable, map: &HashMap<oem::ObjId, oem::ObjId>) 
 // ---- streaming execution (pull-based bounded batches) -------------------
 //
 // The §3.2 semantics are set-oriented and order-insensitive, so a chain
-// can be run as a pull pipeline of bounded binding batches instead of
+// runs as a pull pipeline of bounded binding batches instead of
 // materializing a full table at every node: scan/query ops yield batches
 // as extraction proceeds, match/join/construct ops consume and emit
 // incrementally, and only genuine pipeline breakers accumulate (the
 // dup-elim seen-set, a hash join's build side, the final answer sink).
-// Both modes produce byte-identical answers — the merge phase re-copies
-// the final tables' roots into fresh memory, so per-chain object arrival
-// order is invisible to the result.
+// Every batch size produces byte-identical answers — the merge phase
+// re-copies the final tables' roots into fresh memory, so per-chain
+// object arrival order is invisible to the result.
 
 /// A batch of binding rows flowing between streaming ops. Ops never emit
 /// empty batches; a `None` pull result means permanently exhausted.
@@ -345,7 +269,7 @@ impl ExtSource {
             return Ok(());
         };
         let top = store.top_level();
-        let end = (*cursor + n.max(1)).min(top.len());
+        let end = cursor.saturating_add(n.max(1)).min(top.len());
         let roots = copy::deep_copy_all_into(store, &top[*cursor..end], memory, map);
         counters.bindings_produced += roots.len();
         for root in roots {
@@ -435,8 +359,8 @@ enum OpKind<'p> {
         memo: HashMap<Vec<Value>, MemoRows>,
         pending: std::collections::VecDeque<Vec<BoundValue>>,
         cur: Option<(Vec<BoundValue>, MemoRows, usize)>,
-        /// Parameter column positions, resolved on the first row (the
-        /// materializing path errors at node execution, not plan build).
+        /// Parameter column positions, resolved on the first row (a
+        /// missing column errors at node execution, not plan build).
         param_idx: Option<Vec<usize>>,
     },
     External {
@@ -495,13 +419,12 @@ struct StreamEnv<'a, 'b> {
     stats: &'a mut ChainStats,
     batch: usize,
     /// Index of the op whose source went unavailable, with the error. The
-    /// chain is dead: the driver stops pulling and discards all rows,
-    /// exactly like the materializing path's empty failed table.
+    /// chain is dead: the driver stops pulling and discards all rows.
     failed: Option<(usize, MedError)>,
 }
 
-/// Build the op pipeline for one rule plan (columns derived exactly as the
-/// materializing [`exec_node`] derives them).
+/// Build the op pipeline for one rule plan, deriving each op's output
+/// columns from its input columns.
 fn build_ops(rule_plan: &RulePlan) -> Vec<OpState<'_>> {
     let mut ops: Vec<OpState<'_>> = Vec::with_capacity(rule_plan.nodes.len() + 1);
     ops.push(OpState {
@@ -1110,22 +1033,23 @@ fn pull_inner(
 
 /// Execute one rule chain as a pull-based pipeline of bounded batches.
 ///
-/// `emit` receives each final batch as it surfaces, taking ownership — the
-/// returned outcome's table carries the final columns but no rows; the
-/// caller reattaches what it accumulated. On a mid-chain source failure
-/// the caller must discard everything emitted (a failed chain yields no
-/// rows, exactly like the materializing path's empty table).
+/// The final op's batches accumulate into the outcome's table, and the
+/// first one's arrival (measured from `exec_start`) is the chain's
+/// time-to-first-answer. A chain whose source failed mid-way yields no
+/// rows and no first-answer time.
 fn run_chain_streaming(
     rule_plan: &RulePlan,
     ctx: &ChainCtx<'_>,
     batch_size: usize,
-    emit: &mut dyn FnMut(Batch),
+    exec_start: Instant,
 ) -> Result<ChainOutcome> {
     let chain_start = Instant::now();
     let mut memory = ObjectStore::with_oid_prefix("x");
     let mut stats = ChainStats::default();
     let mut ops = build_ops(rule_plan);
     let last = ops.len() - 1;
+    let mut rows: Batch = Vec::new();
+    let mut first_rows_ns = 0;
     let failed;
     {
         let mut env = StreamEnv {
@@ -1136,12 +1060,19 @@ fn run_chain_streaming(
             failed: None,
         };
         while let Some(batch) = pull(&mut ops, last, &mut env)? {
-            emit(batch);
             if env.failed.is_some() {
                 break;
             }
+            if rows.is_empty() {
+                first_rows_ns = exec_start.elapsed().as_nanos() as u64;
+            }
+            rows.extend(batch);
         }
         failed = env.failed.take();
+    }
+    if failed.is_some() {
+        rows.clear();
+        first_rows_ns = 0;
     }
     let failed_idx = failed.as_ref().map(|(i, _)| *i);
     let failed_err = failed.map(|(_, e)| e);
@@ -1186,15 +1117,18 @@ fn run_chain_streaming(
                 String::new()
             },
         });
-        // Mirror the materializing break: nothing flows past the first op
-        // that emitted no rows, and the trace stops there too.
+        // Nothing flows past the first op that emitted no rows, so the
+        // trace stops there.
         if op.meter.rows_out == 0 || failed_idx == Some(k) {
             break;
         }
     }
-    let final_cols = ops[last].out_cols.clone();
     Ok(ChainOutcome {
-        table: BindingTable::new(final_cols),
+        table: BindingTable {
+            cols: ops[last].out_cols.clone(),
+            rows,
+        },
+        first_rows_ns,
         memory,
         trace: RuleTrace {
             nodes,
@@ -1238,111 +1172,16 @@ pub fn execute(
     };
     // Phase 1: run every rule chain (optionally in parallel — chains are
     // independent; "the datamerge engine executes the graph in a bottom-up
-    // fashion" per chain). Streaming chains surface their first batches
-    // while slower chains (or slower sources within a chain) are still
-    // running; the time-to-first-answer is recorded off the emit path.
-    let mut first_rows_ns: u64 = 0;
-    let chains: Vec<Result<ChainOutcome>> = if opts.streaming {
-        if opts.parallel && plan.rules.len() > 1 {
-            // Every chain streams its batches into one bounded channel; the
-            // sink (this thread) accumulates rows per chain, so first
-            // answers surface before slow sources finish rather than after
-            // a whole-table join at the end of each thread.
-            let n = plan.rules.len();
-            let batch_size = opts.batch_size;
-            let (results, rows_acc, firsts) = crossbeam::thread::scope(|scope| {
-                let ctx = &ctx;
-                let (tx, rx) = crossbeam::channel::bounded::<(usize, Batch)>(n.max(2) * 2);
-                let handles: Vec<_> = plan
-                    .rules
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, rule_plan)| {
-                        let tx = tx.clone();
-                        scope.spawn(move |_| {
-                            let mut emit = |batch: Batch| {
-                                // A hung-up receiver only means the scope is
-                                // unwinding; dropping the batch is fine.
-                                let _ = tx.send((ci, batch));
-                            };
-                            run_chain_streaming(rule_plan, ctx, batch_size, &mut emit)
-                        })
-                    })
-                    .collect();
-                drop(tx);
-                let mut rows_acc: Vec<Vec<Vec<BoundValue>>> = vec![Vec::new(); n];
-                let mut firsts: Vec<u64> = vec![0; n];
-                for (ci, batch) in rx.iter() {
-                    if firsts[ci] == 0 && !batch.is_empty() {
-                        firsts[ci] = exec_start.elapsed().as_nanos() as u64;
-                    }
-                    rows_acc[ci].extend(batch);
-                }
-                let results: Vec<Result<ChainOutcome>> = handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(outcome) => outcome,
-                        // A panicking chain must not abort the whole
-                        // process: surface the payload as a MedError.
-                        // NB: deref the Box first — coercing `&Box<dyn Any>`
-                        // would downcast against the box, not the payload.
-                        Err(payload) => Err(MedError::ChainPanic(panic_message(&*payload))),
-                    })
-                    .collect();
-                (results, rows_acc, firsts)
-            })
-            .expect("crossbeam scope");
-            results
-                .into_iter()
-                .zip(rows_acc)
-                .zip(firsts)
-                .map(|((res, rows), first)| {
-                    let mut outcome = res?;
-                    // A failed chain yields no rows (and no first-answer
-                    // credit): everything it streamed is discarded, exactly
-                    // like the materializing path's empty failed table.
-                    if outcome.failed.is_none() {
-                        outcome.table.rows = rows;
-                        if first > 0 && (first_rows_ns == 0 || first < first_rows_ns) {
-                            first_rows_ns = first;
-                        }
-                    }
-                    Ok(outcome)
-                })
-                .collect()
-        } else {
-            plan.rules
-                .iter()
-                .map(|rule_plan| {
-                    let mut rows: Vec<Vec<BoundValue>> = Vec::new();
-                    let mut first: u64 = 0;
-                    let res = {
-                        let mut emit = |batch: Batch| {
-                            if first == 0 && !batch.is_empty() {
-                                first = exec_start.elapsed().as_nanos() as u64;
-                            }
-                            rows.extend(batch);
-                        };
-                        run_chain_streaming(rule_plan, &ctx, opts.batch_size, &mut emit)
-                    };
-                    let mut outcome = res?;
-                    if outcome.failed.is_none() {
-                        outcome.table.rows = rows;
-                        if first > 0 && (first_rows_ns == 0 || first < first_rows_ns) {
-                            first_rows_ns = first;
-                        }
-                    }
-                    Ok(outcome)
-                })
-                .collect()
-        }
-    } else if opts.parallel && plan.rules.len() > 1 {
+    // fashion" per chain). Each chain stamps its own first answer, so a
+    // fast chain's time-to-first-answer is not held back by a slow one.
+    let run = |rule_plan| run_chain_streaming(rule_plan, &ctx, opts.batch_size, exec_start);
+    let chains: Vec<Result<ChainOutcome>> = if opts.parallel && plan.rules.len() > 1 {
         crossbeam::thread::scope(|scope| {
-            let ctx = &ctx;
+            let run = &run;
             let handles: Vec<_> = plan
                 .rules
                 .iter()
-                .map(|rule_plan| scope.spawn(move |_| run_chain(rule_plan, ctx)))
+                .map(|rule_plan| scope.spawn(move |_| run(rule_plan)))
                 .collect();
             handles
                 .into_iter()
@@ -1358,10 +1197,7 @@ pub fn execute(
         })
         .expect("crossbeam scope")
     } else {
-        plan.rules
-            .iter()
-            .map(|rule_plan| run_chain(rule_plan, &ctx))
-            .collect()
+        plan.rules.iter().map(run).collect()
     };
 
     // Phase 2: merge chain memories into the mediator's memory, remapping
@@ -1374,6 +1210,7 @@ pub fn execute(
     let mut sources_ok: BTreeSet<Symbol> = BTreeSet::new();
     // (final table, its rule plan, its index in trace.rules)
     let mut final_tables: Vec<(BindingTable, &RulePlan, usize)> = Vec::new();
+    let mut first_rows_ns: u64 = 0;
     for (idx, (chain, rule_plan)) in chains.into_iter().zip(&plan.rules).enumerate() {
         let mut chain = match chain {
             Ok(chain) => chain,
@@ -1456,11 +1293,8 @@ pub fn execute(
         }
         let (_, map) = copy::deep_copy_all_with_map(&chain.memory, &roots, &mut memory);
         remap_table(&mut chain.table, &map);
-        // Materializing fallback for the time-to-first-answer: the first
-        // rows only exist once the chain's whole table lands here. (A
-        // streaming run already recorded the earlier emission time above.)
-        if first_rows_ns == 0 && !chain.table.rows.is_empty() {
-            first_rows_ns = exec_start.elapsed().as_nanos() as u64;
+        if chain.first_rows_ns > 0 && (first_rows_ns == 0 || chain.first_rows_ns < first_rows_ns) {
+            first_rows_ns = chain.first_rows_ns;
         }
         trace.rules.push(chain.trace);
         final_tables.push((chain.table, rule_plan, trace.rules.len() - 1));
@@ -1562,214 +1396,6 @@ fn node_detail(node: &Node) -> String {
         Node::DupElim { vars } => {
             let vars: Vec<String> = vars.iter().map(|v| v.as_str()).collect();
             format!("project [{}]", vars.join(", "))
-        }
-    }
-}
-
-fn exec_node(
-    node: &Node,
-    input: BindingTable,
-    memory: &mut ObjectStore,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-    counters: &mut NodeCounters,
-) -> Result<BindingTable> {
-    match node {
-        Node::Query {
-            source,
-            query,
-            vars,
-        } => {
-            let extracted =
-                run_and_extract(*source, query, vars, memory, ctx, stats, counters, None)?;
-            // Cartesian with the (unit) input.
-            let mut out = BindingTable::new(
-                input
-                    .cols
-                    .iter()
-                    .copied()
-                    .chain(vars.iter().map(|v| v.var))
-                    .collect(),
-            );
-            for row in &input.rows {
-                for ext in &extracted {
-                    let mut r = row.clone();
-                    r.extend(ext.clone());
-                    out.rows.push(r);
-                }
-            }
-            Ok(out)
-        }
-        Node::ParamQuery {
-            source,
-            query,
-            params,
-            vars,
-        } => {
-            let mut out = BindingTable::new(
-                input
-                    .cols
-                    .iter()
-                    .copied()
-                    .chain(vars.iter().map(|v| v.var))
-                    .collect(),
-            );
-            // Memoize identical parameter tuples: the engine need not send
-            // the same source query twice.
-            let mut memo: HashMap<Vec<Value>, Vec<Vec<BoundValue>>> = HashMap::new();
-            for row in &input.rows {
-                let mut key = Vec::with_capacity(params.len());
-                let mut pmap: HashMap<Symbol, Value> = HashMap::new();
-                let mut ok = true;
-                for p in params {
-                    let idx = input.col(*p).ok_or_else(|| {
-                        MedError::Planning(format!("parameter {p} missing from table"))
-                    })?;
-                    match &row[idx] {
-                        BoundValue::Atom(v) => {
-                            key.push(v.clone());
-                            pmap.insert(*p, v.clone());
-                        }
-                        _ => {
-                            // Non-atomic parameter: this row cannot
-                            // parameterize the query; it yields nothing.
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                let extracted = match memo.get(&key) {
-                    Some(e) => e.clone(),
-                    None => {
-                        let filled = fill_params_rule(query, &pmap);
-                        let shared = (*source, msl::printer::rule(query), key.clone());
-                        let e = run_and_extract(
-                            *source,
-                            &filled,
-                            vars,
-                            memory,
-                            ctx,
-                            stats,
-                            counters,
-                            Some(shared),
-                        )?;
-                        memo.insert(key.clone(), e.clone());
-                        e
-                    }
-                };
-                for ext in extracted {
-                    let mut r = row.clone();
-                    r.extend(ext);
-                    out.rows.push(r);
-                }
-            }
-            Ok(out)
-        }
-        Node::ExternalPred {
-            pred,
-            args,
-            new_vars,
-        } => {
-            let mut out = BindingTable::new(
-                input
-                    .cols
-                    .iter()
-                    .copied()
-                    .chain(new_vars.iter().copied())
-                    .collect(),
-            );
-            for i in 0..input.len() {
-                let b = input.row_bindings(i);
-                for nb in ctx.registry.evaluate(*pred, args, &b)? {
-                    let mut r = input.rows[i].clone();
-                    for v in new_vars {
-                        r.push(nb.get(*v).cloned().ok_or_else(|| {
-                            MedError::External(format!("{pred} did not bind {v} as planned"))
-                        })?);
-                    }
-                    out.rows.push(r);
-                }
-            }
-            if !new_vars.is_empty() {
-                counters.bindings_produced += out.len();
-            }
-            Ok(out)
-        }
-        Node::RestFilter { var, condition } => {
-            let idx = input.col(*var).ok_or_else(|| {
-                MedError::Planning(format!("filter variable {var} missing from table"))
-            })?;
-            let mut out = BindingTable::new(input.cols.clone());
-            for row in &input.rows {
-                let BoundValue::ObjSet(ids) = &row[idx] else {
-                    continue;
-                };
-                let passes = ids.iter().any(|&id| {
-                    !engine::matcher::match_pattern(memory, id, condition, &Bindings::new())
-                        .is_empty()
-                });
-                if passes {
-                    out.rows.push(row.clone());
-                }
-            }
-            Ok(out)
-        }
-        Node::HashJoin {
-            source,
-            query,
-            vars,
-            join_vars,
-        } => {
-            let extracted =
-                run_and_extract(*source, query, vars, memory, ctx, stats, counters, None)?;
-            // Index inner rows by join key.
-            let inner_key_idx: Vec<usize> = join_vars
-                .iter()
-                .map(|v| {
-                    vars.iter()
-                        .position(|e| e.var == *v)
-                        .expect("planner included join vars in extraction")
-                })
-                .collect();
-            let mut index: HashMap<Vec<BoundValue>, Vec<&Vec<BoundValue>>> = HashMap::new();
-            for row in &extracted {
-                let key: Vec<BoundValue> = inner_key_idx.iter().map(|&i| row[i].clone()).collect();
-                index.entry(key).or_default().push(row);
-            }
-            // Output: input columns + inner extraction minus join vars.
-            let keep_inner: Vec<usize> = (0..vars.len())
-                .filter(|i| !inner_key_idx.contains(i))
-                .collect();
-            let mut out_cols = input.cols.clone();
-            out_cols.extend(keep_inner.iter().map(|&i| vars[i].var));
-            let outer_key_idx: Vec<usize> = join_vars
-                .iter()
-                .map(|v| {
-                    input.col(*v).ok_or_else(|| {
-                        MedError::Planning(format!("join variable {v} missing from table"))
-                    })
-                })
-                .collect::<Result<_>>()?;
-            let mut out = BindingTable::new(out_cols);
-            for row in &input.rows {
-                let key: Vec<BoundValue> = outer_key_idx.iter().map(|&i| row[i].clone()).collect();
-                if let Some(matches) = index.get(&key) {
-                    for inner in matches {
-                        let mut r = row.clone();
-                        r.extend(keep_inner.iter().map(|&i| inner[i].clone()));
-                        out.rows.push(r);
-                    }
-                }
-            }
-            Ok(out)
-        }
-        Node::DupElim { vars } => {
-            let mut out = input.project(vars);
-            out.dedup();
-            Ok(out)
         }
     }
 }

@@ -51,10 +51,6 @@ pub struct MediatorOptions {
     /// [`Mediator::lint_warnings`], and the result feeds the planner's
     /// infeasible-chain pruning. On by default.
     pub analysis: bool,
-    /// Execute chains as pull-based pipelines of bounded binding batches
-    /// ([`ExecOptions::streaming`]). Defaults to the `streaming` cargo
-    /// feature's presence; turn off to use the materializing oracle path.
-    pub streaming: bool,
     /// Rows per streamed batch ([`ExecOptions::batch_size`]).
     pub batch_size: usize,
 }
@@ -81,7 +77,7 @@ pub struct QueryLimits {
     pub max_rows: Option<usize>,
     /// Rows per streamed batch for this query only
     /// ([`ExecOptions::batch_size`]); bounds the query's peak resident
-    /// rows under streaming execution.
+    /// rows.
     pub batch_size: Option<usize>,
 }
 
@@ -110,7 +106,6 @@ impl Default for MediatorOptions {
             fault: crate::retry::FaultOptions::default(),
             cache: CacheOptions::default(),
             analysis: true,
-            streaming: ExecOptions::default().streaming,
             batch_size: ExecOptions::default().batch_size,
         }
     }
@@ -435,7 +430,6 @@ impl Mediator {
                 fault,
                 cache: self.exec_cache(),
                 param_memo: self.exec_param_memo(),
-                streaming: self.options.streaming,
                 batch_size: limits.batch_size.unwrap_or(self.options.batch_size),
             },
         )?;
@@ -516,7 +510,6 @@ impl Mediator {
                     fault: self.options.fault.clone(),
                     cache: self.exec_cache(),
                     param_memo: self.exec_param_memo(),
-                    streaming: self.options.streaming,
                     batch_size: self.options.batch_size,
                 },
             )?;
@@ -568,7 +561,6 @@ impl Mediator {
                 fault: self.options.fault.clone(),
                 cache: self.exec_cache(),
                 param_memo: self.exec_param_memo(),
-                streaming: self.options.streaming,
                 batch_size: self.options.batch_size,
             },
         )?;

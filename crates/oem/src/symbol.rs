@@ -7,6 +7,7 @@
 //! without re-hashing strings.
 
 use parking_lot::RwLock;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -72,6 +73,17 @@ impl Symbol {
     pub fn with_str<R>(&self, f: impl FnOnce(&str) -> R) -> R {
         let guard = interner().read();
         f(&guard.strings[self.0 as usize])
+    }
+
+    /// Compare the interned strings of two symbols under one read guard.
+    ///
+    /// Nesting two [`Symbol::with_str`] calls would take the read lock
+    /// twice, and the lock queues a new reader behind a waiting writer: a
+    /// concurrent [`Symbol::intern`] of a fresh string would then deadlock
+    /// against the outer guard.
+    pub fn cmp_str(&self, other: &Symbol) -> Ordering {
+        let guard = interner().read();
+        guard.strings[self.0 as usize].cmp(&guard.strings[other.0 as usize])
     }
 
     /// The raw interner index. Only meaningful within this process.
@@ -143,6 +155,14 @@ mod tests {
         let s = Symbol::intern("Joe Chung");
         assert_eq!(s.as_str(), "Joe Chung");
         s.with_str(|v| assert_eq!(v, "Joe Chung"));
+    }
+
+    #[test]
+    fn cmp_str_orders_lexicographically() {
+        let (a, b) = (Symbol::intern("apple"), Symbol::intern("banana"));
+        assert_eq!(a.cmp_str(&b), Ordering::Less);
+        assert_eq!(b.cmp_str(&a), Ordering::Greater);
+        assert_eq!(a.cmp_str(&a), Ordering::Equal);
     }
 
     #[test]

@@ -186,13 +186,11 @@ impl Value {
     /// or unexpected results on irregular data" stance of the paper.
     pub fn compare_atomic(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
-            (Value::Str(a), Value::Str(b)) => {
-                if a == b {
-                    Some(Ordering::Equal)
-                } else {
-                    a.with_str(|sa| b.with_str(|sb| sa.partial_cmp(sb)))
-                }
-            }
+            (Value::Str(a), Value::Str(b)) => Some(if a == b {
+                Ordering::Equal
+            } else {
+                a.cmp_str(b)
+            }),
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::RealBits(_), Value::RealBits(_))

@@ -259,3 +259,51 @@ fn value_types_survive_view() {
     assert!(vals.contains(&Value::Bool(true)));
     assert!(vals.contains(&Value::str("txt")));
 }
+
+#[test]
+fn atomic_string_compare_survives_concurrent_interning() {
+    // Comparing two string atoms reads both strings from the global
+    // interner while another thread may be interning fresh strings (a
+    // wrapper answering another query). The interner's lock queues new
+    // readers behind a waiting writer, so a comparison that takes the
+    // read lock twice deadlocks against that writer. Both threads must
+    // finish well within the deadline.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+
+    let a = Value::Str(oem::sym("compare-probe-alpha"));
+    let b = Value::Str(oem::sym("compare-probe-beta"));
+    let start = Arc::new(Barrier::new(2));
+    let stop = Arc::new(AtomicBool::new(false));
+    let (tx, rx) = mpsc::channel::<&str>();
+
+    let comparer = {
+        let (start, stop, tx) = (Arc::clone(&start), Arc::clone(&stop), tx.clone());
+        std::thread::spawn(move || {
+            start.wait();
+            for _ in 0..200_000 {
+                assert_eq!(a.compare_atomic(&b), Some(std::cmp::Ordering::Less));
+            }
+            stop.store(true, Ordering::Relaxed);
+            tx.send("comparer").unwrap();
+        })
+    };
+    let interner = std::thread::spawn(move || {
+        start.wait();
+        let mut i = 0u32;
+        while !stop.load(Ordering::Relaxed) && i < 100_000 {
+            oem::sym(&format!("compare-probe-fresh-{i}"));
+            i += 1;
+        }
+        tx.send("interner").unwrap();
+    });
+
+    let deadline = Duration::from_secs(10);
+    for _ in 0..2 {
+        rx.recv_timeout(deadline)
+            .expect("compare_atomic deadlocked against a concurrent intern");
+    }
+    comparer.join().unwrap();
+    interner.join().unwrap();
+}
