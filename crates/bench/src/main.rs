@@ -575,6 +575,7 @@ decomp(free, bound, bound) by lnfn_to_name
 fn cache() {
     use medmaker::CacheOptions;
     use serde::Value;
+    use std::collections::BTreeMap;
 
     const N: usize = 10;
     let opts = |cache: CacheOptions| MediatorOptions {
@@ -599,11 +600,28 @@ fn cache() {
             print_store(&b.results),
             "iteration {i}: cache-on answer must be byte-identical"
         );
+        if i == 0 {
+            // Cold run per source: both twins bind-join whois once per
+            // distinct tuple. The cache-off twin sends each chain's cs
+            // query; on the cache-on twin the second one is a containment
+            // hit, filtered locally from the first chain's cached answer.
+            let expect = |whois: usize, cs: usize| -> BTreeMap<oem::Symbol, usize> {
+                [(sym("whois"), whois), (sym("cs"), cs)].into()
+            };
+            assert_eq!(a.trace.source_calls, expect(2, 2), "cache off, iteration 1");
+            assert_eq!(b.trace.source_calls, expect(2, 1), "cache on, iteration 1");
+        }
         calls_off.push(a.trace.total_source_calls());
         calls_on.push(b.trace.total_source_calls());
     }
     println!("round-trips per iteration, cache off: {calls_off:?}");
     println!("round-trips per iteration, cache on:  {calls_on:?}");
+    // Cross-query reuse comes from the answer cache alone, so the call
+    // vectors are exact: the cold run pays 3, every repeat pays 0.
+    assert_eq!(calls_off, vec![4; N], "cache off pays every round-trip");
+    let mut expect_on = vec![0; N];
+    expect_on[0] = 3;
+    assert_eq!(calls_on, expect_on, "cache on pays only the cold run");
     assert!(calls_on[0] > 0, "iteration 1 must pay the cold round-trips");
     assert!(
         calls_on.iter().skip(1).all(|&c| c == 0),
@@ -645,6 +663,11 @@ fn cache() {
     );
 
     let counters = on.cache_counters();
+    assert_eq!(
+        (counters.hits, counters.misses),
+        (27, 3),
+        "9 warm runs x 3 exact hits (containment hits count apart); the cold run misses 3"
+    );
     let report = Value::Object(vec![
         ("bench".to_string(), Value::Str("cache".to_string())),
         (

@@ -9,7 +9,7 @@
 //! tables are additionally rendered, which is how the Figure 3.6
 //! walkthrough is regenerated.
 
-use crate::cache::{AnswerCache, CacheHit, ParamMemo, ParamMemoKey};
+use crate::cache::{AnswerCache, CacheHit};
 use crate::error::{MedError, Result};
 use crate::externals::ExternalRegistry;
 use crate::graph::{ExtractVar, Node, PhysicalPlan, RulePlan, VarKind};
@@ -21,6 +21,7 @@ use engine::construct::Constructor;
 use engine::subst::fill_params_rule;
 use msl::{Rule, TailItem, Term};
 use oem::{copy, ObjectStore, Symbol, Value};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,11 +53,6 @@ pub struct ExecOptions {
     /// resident rows. Clamped to at least 1; `usize::MAX` lets every node
     /// emit its whole output as one batch.
     pub batch_size: usize,
-    /// The mediator's shared parameterized-query memo, when caching is
-    /// enabled ([`crate::Mediator`] owns it alongside the answer cache).
-    /// `None` makes the execution build its own ephemeral memo — the
-    /// historical per-query scope.
-    pub param_memo: Option<Arc<ParamMemo>>,
 }
 
 impl Default for ExecOptions {
@@ -67,7 +63,6 @@ impl Default for ExecOptions {
             fault: FaultOptions::default(),
             cache: None,
             batch_size: 1024,
-            param_memo: None,
         }
     }
 }
@@ -98,8 +93,24 @@ impl FaultRuntime {
     }
 }
 
+/// Key of the per-execution parameter map: source, printed unfilled
+/// query, bound parameter tuple.
+type ParamKey = (Symbol, String, Vec<Value>);
+
+/// One slot per bound tuple. The slot's own lock is held across the
+/// fetch — chains racing on the *same* tuple block and then reuse the one
+/// answer — while the map lock is released before any I/O, so distinct
+/// tuples and distinct sources fetch concurrently. A failed fetch leaves
+/// the slot empty; the next chain to need the tuple retries.
+type ParamSlot = Arc<Mutex<Option<Arc<ObjectStore>>>>;
+
+/// Parameterized-query answers fetched by one execution. Lives exactly
+/// as long as the execution: reuse across queries is the answer cache's
+/// job alone, so this map follows no freshness rules.
+type ParamFetches = Mutex<HashMap<ParamKey, ParamSlot>>;
+
 /// Everything one chain shares with its environment: sources, externals,
-/// fault machinery, shared memo/cache, tracing flag.
+/// fault machinery, per-execution fetches, cache, tracing flag.
 struct ChainCtx<'a> {
     sources: &'a HashMap<Symbol, Arc<dyn Wrapper>>,
     registry: &'a ExternalRegistry,
@@ -107,10 +118,8 @@ struct ChainCtx<'a> {
     /// Parameterized-query answers shared across every chain of this
     /// execution (same lock pattern as the circuit breaker): parallel
     /// chains sending the same bound tuple to the same source pay one
-    /// round-trip, not one each. When [`ExecOptions::param_memo`] carries
-    /// the mediator's shared memo, the sharing extends across whole
-    /// queries — see [`ParamMemo`] for the scoping rules.
-    param_memo: &'a ParamMemo,
+    /// round-trip, not one each.
+    param_fetches: ParamFetches,
     cache: Option<&'a AnswerCache>,
     trace_on: bool,
 }
@@ -355,7 +364,7 @@ enum OpKind<'p> {
         params: &'p [Symbol],
         vars: &'p [ExtractVar],
         /// Per-chain tuple memo; `Rc` so repeated tuples share one
-        /// extraction (the cross-chain memo lives in [`ChainCtx`]).
+        /// extraction (the cross-chain map is [`ParamFetches`]).
         memo: HashMap<Vec<Value>, MemoRows>,
         pending: std::collections::VecDeque<Vec<BoundValue>>,
         cur: Option<(Vec<BoundValue>, MemoRows, usize)>,
@@ -749,7 +758,7 @@ fn pull_inner(
                         Some(e) => std::rc::Rc::clone(e),
                         None => {
                             let filled = fill_params_rule(query, &pmap);
-                            let shared = (*source, msl::printer::rule(query), key.clone());
+                            let param_key = (*source, msl::printer::rule(query), key.clone());
                             let e = match run_and_extract(
                                 *source,
                                 &filled,
@@ -758,7 +767,7 @@ fn pull_inner(
                                 env.ctx,
                                 env.stats,
                                 &mut op.meter.counters,
-                                Some(shared),
+                                Some(param_key),
                             ) {
                                 Ok(e) => std::rc::Rc::new(e),
                                 Err(e @ MedError::SourceUnavailable { .. }) => {
@@ -1154,19 +1163,11 @@ pub fn execute(
     // trace can report this query's eviction *delta* rather than the
     // cache's lifetime total (a resident mediator serves many queries).
     let counters_before = opts.cache.as_ref().map(|c| c.counters());
-    let local_memo;
-    let param_memo: &ParamMemo = match &opts.param_memo {
-        Some(m) => m.as_ref(),
-        None => {
-            local_memo = ParamMemo::ephemeral();
-            &local_memo
-        }
-    };
     let ctx = ChainCtx {
         sources,
         registry,
         fault: &fault,
-        param_memo,
+        param_fetches: ParamFetches::default(),
         cache: opts.cache.as_deref(),
         trace_on: opts.trace,
     };
@@ -1490,7 +1491,7 @@ fn run_and_extract(
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
     counters: &mut NodeCounters,
-    shared_key: Option<ParamMemoKey>,
+    param_key: Option<ParamKey>,
 ) -> Result<Vec<Vec<BoundValue>>> {
     if let Some(cache) = ctx.cache.filter(|c| c.enabled_for(source)) {
         if let Some((rows, kind)) = cache.lookup(source, query, vars, memory) {
@@ -1515,32 +1516,23 @@ fn run_and_extract(
             return Ok(rows);
         }
     }
-    // Parameterized queries consult the shared memo: a sibling chain (or,
-    // with the mediator's shared memo, a concurrent query) may already
-    // have fetched this exact tuple. Only the tuple's own slot lock is
-    // held across the fetch — executions after the same tuple wait for
-    // the one round-trip; everything else proceeds. A cross-query memo
-    // follows the cache's freshness rules: expired entries refetch, and
-    // an embargoed source is always refetched so a shared memo cannot
-    // mask an outage behind data of unknown staleness.
-    if let Some(skey) = shared_key {
-        let slot = ctx.param_memo.slot(&skey);
+    // Parameterized queries consult this execution's fetches: a sibling
+    // chain may already have fetched this exact tuple. Only the tuple's
+    // own slot lock is held across the fetch — chains after the same
+    // tuple wait for the one round-trip; everything else proceeds.
+    if let Some(key) = param_key {
+        let slot = Arc::clone(ctx.param_fetches.lock().entry(key).or_default());
         let mut filled = slot.lock();
-        let embargoed = ctx.param_memo.is_shared()
-            && ctx
-                .cache
-                .is_some_and(|c| c.enabled_for(source) && c.embargoed(source));
-        if !embargoed {
-            if let Some(state) = filled.as_ref().filter(|s| ctx.param_memo.live(s)) {
-                let store = Arc::clone(&state.answer);
-                drop(filled);
-                return extract_rows(&store, vars, memory, counters);
+        let store = match filled.as_ref() {
+            Some(store) => Arc::clone(store),
+            None => {
+                let store = Arc::new(fetch_store(source, query, vars, ctx, stats, counters)?);
+                *filled = Some(Arc::clone(&store));
+                store
             }
-        }
-        let result = Arc::new(fetch_store(source, query, vars, ctx, stats, counters)?);
-        *filled = Some(ctx.param_memo.state(Arc::clone(&result)));
+        };
         drop(filled);
-        return extract_rows(&result, vars, memory, counters);
+        return extract_rows(&store, vars, memory, counters);
     }
     let result = fetch_store(source, query, vars, ctx, stats, counters)?;
     extract_rows(&result, vars, memory, counters)
@@ -1564,8 +1556,8 @@ fn fetch_store(
     *stats.source_calls.entry(source).or_insert(0) += 1;
     counters.source_calls += 1;
     // A cache miss is an actual round-trip, counted here rather than at
-    // lookup time: a shared-memo hit pays no fetch and must not inflate
-    // the trace's miss counters.
+    // lookup time: a tuple reused from `ParamFetches` pays no fetch and
+    // must not inflate the trace's miss counters.
     if ctx.cache.is_some_and(|c| c.enabled_for(source)) {
         counters.cache_misses += 1;
         *stats.cache_misses.entry(source).or_insert(0) += 1;
@@ -2474,7 +2466,7 @@ mod tests {
     fn shared_param_memo_dedups_across_chains() {
         // Two chains (year-3 query, Minimal mode) that both bind-join into
         // cs: identical bound tuples are fetched once per execution, even
-        // in parallel mode — the shared memo extends the per-chain one.
+        // in parallel mode — the per-execution map extends the per-chain one.
         let srcs = sources();
         let med = MediatorSpec::parse("med", MS1).unwrap();
         let q = parse_query("S :- S:<cs_person {<year 3>}>@med").unwrap();
@@ -2504,7 +2496,7 @@ mod tests {
             },
         )
         .unwrap();
-        // Sequential and parallel must agree call-for-call: the memo is
+        // Sequential and parallel must agree call-for-call: the map is
         // shared per-execution, not per-thread.
         assert_eq!(seq.trace.source_calls, par.trace.source_calls);
         assert_eq!(seq.results.top_level().len(), par.results.top_level().len());

@@ -1,11 +1,11 @@
 //! # medmaker-server — the resident mediator query service
 //!
 //! `medmaker serve` keeps one [`medmaker::Mediator`] alive and answers
-//! many queries concurrently over TCP, so the answer cache, learned
-//! statistics, circuit breakers, and the parameterized-call memo amortize
-//! across queries instead of dying with each process. The wire protocols
-//! and operational behavior are specified in DESIGN.md §11 and
-//! docs/OPERATIONS.md; in short:
+//! many queries concurrently over TCP, so the answer cache (the one store
+//! that reuses source answers across queries), learned statistics and
+//! circuit breakers amortize across queries instead of dying with each
+//! process. The wire protocols and operational behavior are specified in
+//! DESIGN.md §11 and docs/OPERATIONS.md; in short:
 //!
 //! * **HTTP/1.1** (hand-rolled, [`http`]): `POST /query` with a JSON
 //!   body, `GET /metrics`, `GET /healthz`.
@@ -528,11 +528,13 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_endpoint_purges_cache_and_param_memo_over_live_socket() {
+    fn invalidate_endpoint_purges_cache_over_live_socket() {
         // A resident mediator with the cache on: the first query pays
-        // round-trips and fills both the answer cache and the bind-join
-        // param memo; `POST /invalidate` must flush both so the next
-        // query re-fetches.
+        // round-trips and fills the answer cache — the one store that
+        // reuses source answers across queries. `POST /invalidate` must
+        // flush it so the next query pays whois round-trips again.
+        // learn_stats off freezes the plan, so every repeat sends the same
+        // source queries and only invalidation can add cache misses.
         let med = Mediator::new(
             "med",
             MS1,
@@ -541,6 +543,7 @@ mod tests {
         )
         .unwrap()
         .with_options(medmaker::MediatorOptions {
+            learn_stats: false,
             cache: medmaker::CacheOptions::enabled(),
             ..Default::default()
         });
@@ -550,17 +553,24 @@ mod tests {
             "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
+        let json_body = |res: &str| -> serde::Value {
+            let json = res.split("\r\n\r\n").nth(1).expect("body");
+            serde_json::from_str(json.trim()).unwrap()
+        };
+        let cache_misses = || -> i64 {
+            let metrics = http_roundtrip(h.addr(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+            let v = json_body(&metrics);
+            let med = v.get("mediator").expect("mediator section");
+            med.get("cache_misses").unwrap().as_i64().unwrap()
+        };
         let res = http_roundtrip(h.addr(), &query_req);
         assert!(res.starts_with("HTTP/1.1 200 OK"), "{res}");
-        let memo_entries = |metrics: &str| -> i64 {
-            let json = metrics.split("\r\n\r\n").nth(1).expect("body");
-            let v: serde::Value = serde_json::from_str(json.trim()).unwrap();
-            let med = v.get("mediator").expect("mediator section");
-            med.get("param_memo_entries").unwrap().as_i64().unwrap()
-        };
-        let metrics = http_roundtrip(h.addr(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-        let before = memo_entries(&metrics);
-        assert!(before > 0, "bind joins must populate the memo: {metrics}");
+        let cold = cache_misses();
+        assert!(cold > 0, "the first query must pay round-trips");
+        // A warm repeat is served from the cache: no new misses.
+        let res = http_roundtrip(h.addr(), &query_req);
+        assert!(res.starts_with("HTTP/1.1 200 OK"), "{res}");
+        assert_eq!(cache_misses(), cold, "a warm repeat pays no round-trip");
         // Whole-source invalidation of the bind-join target.
         let inv = r#"{"source": "whois"}"#;
         let inv_req = format!(
@@ -570,15 +580,20 @@ mod tests {
         let res = http_roundtrip(h.addr(), &inv_req);
         assert!(res.starts_with("HTTP/1.1 200 OK"), "{res}");
         assert!(res.contains("\"invalidated\":"), "{res}");
+        let invalidated = json_body(&res)
+            .get("invalidated")
+            .and_then(|n| n.as_i64())
+            .unwrap_or_else(|| panic!("no invalidated count: {res}"));
+        assert!(invalidated > 0, "{res}");
         let metrics = http_roundtrip(h.addr(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-        assert!(
-            memo_entries(&metrics) < before,
-            "invalidation must purge the source's memo entries: {metrics}"
-        );
         assert!(metrics.contains("\"invalidations\": 1"), "{metrics}");
-        // The service still answers after invalidation (re-fetching).
+        // The next query pays whois round-trips again.
         let res = http_roundtrip(h.addr(), &query_req);
         assert!(res.starts_with("HTTP/1.1 200 OK"), "{res}");
+        assert!(
+            cache_misses() > cold,
+            "invalidated whois answers must be refetched"
+        );
         // A scoped delta that names nothing cached: 0 invalidated.
         let inv = r#"{"source": "whois", "labels": ["no_such_label"], "keys": []}"#;
         let inv_req = format!(

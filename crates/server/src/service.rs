@@ -247,8 +247,8 @@ impl QueryService {
 
     /// Apply a change report against the resident mediator's caches (the
     /// `POST /invalidate` backend): drops matching answer-cache entries
-    /// in both tiers and purges the source's parameterized-call memo.
-    /// Returns the number of distinct cached answers dropped.
+    /// in both tiers. Returns the number of distinct cached answers
+    /// dropped.
     pub fn invalidate(&self, delta: &medmaker::SourceDelta) -> usize {
         let n = self.mediator.apply_delta(delta);
         self.metrics.record_invalidation(n);
