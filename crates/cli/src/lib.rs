@@ -46,13 +46,10 @@ pub struct Config {
     pub lorel: bool,
     /// One-shot query; absent = interactive session.
     pub query: Option<String>,
-    /// Run speclint on the specification instead of querying
-    /// (`medmaker lint SPEC`).
-    pub lint: bool,
-    /// Run the whole-spec dataflow analysis on the specification instead
-    /// of querying (`medmaker check SPEC`).
+    /// Run every static-analysis pass on the specification instead of
+    /// querying (`medmaker check SPEC`, alias `medmaker lint SPEC`).
     pub check: bool,
-    /// Emit diagnostics as JSON (`--json`, lint/check modes only).
+    /// Emit diagnostics as JSON (`--json`, check mode only).
     pub json: bool,
     /// Explain subcommand (`medmaker explain --spec FILE ... QUERY`).
     pub explain_cmd: bool,
@@ -138,8 +135,8 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
                 [--cache-stale-ok] [--cache-dir DIR] [--cache-warm-bytes N]
                 [--cache-fifo] [--batch-size N]
                 [--cost-weights K=V,...] [QUERY]
-       medmaker lint SPEC [--json] [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]...
        medmaker check SPEC [--json] [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]...
+       medmaker lint SPEC ...   (alias of check)
        medmaker explain --spec FILE [--analyze] [--trace-json PATH] [source/option flags] QUERY
        medmaker serve --spec FILE [--addr HOST:PORT] [--workers N] [--queue N]
                 [source/option flags]
@@ -189,19 +186,18 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
                     net=1 mem=0.005)
   QUERY             a query; omit for an interactive session
 
-lint mode runs every speclint diagnostic pass over SPEC and exits with
-0 (clean), 1 (warnings) or 2 (errors / unreadable spec). Registering
-sources (--oem/--csv) additionally checks the rules against their
-declared capabilities; --json prints machine-readable diagnostics.
-
-check mode runs lint plus the whole-spec dataflow analysis (specflow):
+check mode (alias: lint) runs every static-analysis pass over SPEC, the
+same passes that reject a specification when a mediator is built: the
+speclint passes, the capability checks against the registered sources
+(--oem/--csv), and the whole-spec dataflow analysis (specflow) —
 interprocedural type inference over the view dependency graph against the
-registered sources' schema summaries, dead-view liveness, and per-view
-answerability matrices derived from the sources' capabilities. It prints
-every finding (type-mismatched joins E301, unanswerable views E302,
-unknown labels W301, dead views W302, plus all lint codes) followed by
-the inferred answerability of each view, and exits 0/1/2 like lint.
---json prints one object with \"diagnostics\" and \"views\" arrays.
+sources' schema summaries, dead-view liveness, and per-view answerability
+matrices derived from the sources' capabilities. It prints every finding
+(type-mismatched joins E301, unanswerable views E302, unknown labels W301,
+dead views W302, plus all lint codes) followed by the inferred
+answerability of each view, and exits with 0 (clean), 1 (warnings) or 2
+(errors / unreadable spec). --json prints one object with \"diagnostics\"
+and \"views\" arrays.
 
 serve mode keeps one mediator resident and answers queries concurrently
 over TCP — hand-rolled HTTP/1.1 (POST /query with a JSON body,
@@ -239,10 +235,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
         ..Default::default()
     };
     let mut it = args.into_iter().peekable();
-    if it.peek().map(String::as_str) == Some("lint") {
-        it.next();
-        cfg.lint = true;
-    } else if it.peek().map(String::as_str) == Some("check") {
+    // `lint` is an alias of `check`.
+    if let Some("check" | "lint") = it.peek().map(String::as_str) {
         it.next();
         cfg.check = true;
     } else if it.peek().map(String::as_str) == Some("explain") {
@@ -397,7 +391,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
             }
             "--explain" => cfg.explain = true,
             "--lorel" => cfg.lorel = true,
-            "--json" if cfg.lint || cfg.check => cfg.json = true,
+            "--json" if cfg.check => cfg.json = true,
             "--analyze" if cfg.explain_cmd => cfg.analyze = true,
             "--trace-json" if cfg.explain_cmd => {
                 let v = it.next().ok_or("--trace-json needs a PATH argument")?;
@@ -406,9 +400,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
             q if !q.starts_with("--") => {
-                // In lint/check mode the positional argument is the spec
-                // file.
-                if cfg.lint || cfg.check {
+                // In check mode the positional argument is the spec file.
+                if cfg.check {
                     if cfg.spec_path.is_some() {
                         return Err("more than one spec file given".to_string());
                     }
@@ -442,9 +435,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
         return Ok(cfg);
     }
     if cfg.spec_path.is_none() {
-        let what = if cfg.lint {
-            "lint needs a SPEC file"
-        } else if cfg.check {
+        let what = if cfg.check {
             "check needs a SPEC file"
         } else {
             "--spec is required"
@@ -565,62 +556,6 @@ pub fn build_mediator(cfg: &Config) -> Result<Mediator, String> {
     }))
 }
 
-/// Run `medmaker lint SPEC`: print every speclint diagnostic (human
-/// renderings, or a JSON array with `--json`) and return the process exit
-/// code — 0 clean, 1 warnings only, 2 errors. A specification that cannot
-/// be read or parsed is reported and also exits 2.
-pub fn run_lint(cfg: &Config, out: &mut impl Write) -> Result<i32, String> {
-    let spec_path = cfg.spec_path.as_ref().expect("validated by parse_args");
-    let spec_text = std::fs::read_to_string(spec_path)
-        .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?;
-    let sources = load_sources(cfg)?;
-    let caps: BTreeMap<oem::Symbol, wrappers::Capabilities> = sources
-        .iter()
-        .map(|w| (w.name(), w.capabilities().clone()))
-        .collect();
-    let diags = match medmaker::lint::lint_text(&spec_text, &cfg.name, &caps) {
-        Ok((_, diags)) => diags,
-        Err(e) => {
-            // A specification that does not lex/parse cannot be linted.
-            if cfg.json {
-                let v = serde::Value::Object(vec![(
-                    "error".to_string(),
-                    serde::Value::Str(e.to_string()),
-                )]);
-                let text = serde_json::to_string(&v).map_err(|e| e.to_string())?;
-                writeln!(out, "{text}").map_err(|e| e.to_string())?;
-            } else {
-                writeln!(out, "{e}").map_err(|e| e.to_string())?;
-            }
-            return Ok(2);
-        }
-    };
-    let errors = diags.iter().filter(|d| d.is_error()).count();
-    let warnings = diags.len() - errors;
-    if cfg.json {
-        let v = serde::Value::Array(diags.iter().map(|d| diag_json(d, &spec_text)).collect());
-        let text = serde_json::to_string_pretty(&v).map_err(|e| e.to_string())?;
-        writeln!(out, "{text}").map_err(|e| e.to_string())?;
-    } else {
-        for d in &diags {
-            writeln!(out, "{}", d.render(&spec_text)).map_err(|e| e.to_string())?;
-        }
-        writeln!(
-            out,
-            "{}: {errors} error(s), {warnings} warning(s)",
-            spec_path.display()
-        )
-        .map_err(|e| e.to_string())?;
-    }
-    Ok(if errors > 0 {
-        2
-    } else if warnings > 0 {
-        1
-    } else {
-        0
-    })
-}
-
 /// One diagnostic as a JSON object (`--json` output element).
 fn diag_json(d: &msl::Diagnostic, source: &str) -> serde::Value {
     let (line, col) = msl::diag::line_col(source, d.span.start);
@@ -650,11 +585,13 @@ fn diag_json(d: &msl::Diagnostic, source: &str) -> serde::Value {
     ])
 }
 
-/// Run `medmaker check SPEC`: lint plus the whole-spec dataflow analysis
-/// ([`medmaker::analysis`]). Prints every diagnostic and the per-view
-/// answerability summary (or one JSON object with `--json`), and returns
-/// the process exit code — 0 clean, 1 warnings only, 2 errors. A
-/// specification that cannot be read or parsed is reported and exits 2.
+/// Run `medmaker check SPEC` (alias `medmaker lint SPEC`): every
+/// static-analysis pass ([`medmaker::analysis::check`]). Prints every
+/// diagnostic and the per-view answerability summary (or one JSON object
+/// with `--json`), and returns the process exit code — 0 clean, 1
+/// warnings only, 2 errors. A specification that does not parse is
+/// reported and also exits 2; one that cannot be read is an `Err`, on
+/// which `medmaker` exits 2 as well.
 pub fn run_check(cfg: &Config, out: &mut impl Write) -> Result<i32, String> {
     let spec_path = cfg.spec_path.as_ref().expect("validated by parse_args");
     let spec_text = std::fs::read_to_string(spec_path)
@@ -764,6 +701,35 @@ pub fn run_check(cfg: &Config, out: &mut impl Write) -> Result<i32, String> {
     } else {
         0
     })
+}
+
+/// Run the mode `cfg` selects, writing its output to `out`, and return
+/// the process exit code. With no subcommand this builds the mediator and
+/// runs QUERY, or an interactive session on stdin when QUERY is absent.
+/// An `Err` is a message for stderr; `medmaker` exits 2 on it in check
+/// mode and 1 otherwise.
+pub fn run(cfg: &Config, out: &mut impl Write) -> Result<i32, String> {
+    if cfg.check {
+        return run_check(cfg, out);
+    }
+    if cfg.explain_cmd {
+        return run_explain(cfg, out);
+    }
+    if cfg.serve {
+        return run_serve(cfg, out);
+    }
+    if cfg.cache_cmd.is_some() {
+        return run_cache(cfg, out);
+    }
+    if cfg.invalidate {
+        return run_invalidate(cfg, out);
+    }
+    let med = build_mediator(cfg)?;
+    match &cfg.query {
+        Some(q) => run_query_in(&med, q, cfg.explain, cfg.lorel, out)?,
+        None => repl_in(&med, cfg.lorel, std::io::stdin().lock(), out)?,
+    }
+    Ok(0)
 }
 
 /// Run `medmaker explain ... QUERY`: print the expansion + plan + traced
@@ -1405,22 +1371,11 @@ mod tests {
 
     fn temp_spec(tag: &str, text: &str) -> (std::path::PathBuf, std::path::PathBuf) {
         let dir =
-            std::env::temp_dir().join(format!("medmaker-lint-test-{tag}-{}", std::process::id()));
+            std::env::temp_dir().join(format!("medmaker-check-test-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let spec = dir.join("spec.msl");
         std::fs::write(&spec, text).unwrap();
         (dir, spec)
-    }
-
-    #[test]
-    fn lint_subcommand_parsed() {
-        let cfg = parse_args(argv("lint spec.msl --json --name m")).unwrap();
-        assert!(cfg.lint && cfg.json);
-        assert_eq!(cfg.spec_path.as_ref().unwrap().to_str(), Some("spec.msl"));
-        assert_eq!(cfg.name, "m");
-        // The spec file is required, and --json is lint-only.
-        assert!(parse_args(argv("lint")).is_err());
-        assert!(parse_args(argv("--spec s.msl --json")).is_err());
     }
 
     #[test]
@@ -1483,91 +1438,18 @@ mod tests {
     }
 
     #[test]
-    fn lint_clean_spec_exits_zero() {
-        let (dir, spec) = temp_spec("clean", "<v {<n N>}> :- <person {<name N>}>@src\n");
-        let cfg = parse_args(argv(&format!("lint {}", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("0 error(s), 0 warning(s)"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lint_ms1_is_clean() {
-        let (dir, spec) = temp_spec("ms1", wrappers::scenario::MS1);
-        let cfg = parse_args(argv(&format!("lint {}", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(code, 0, "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lint_renders_warnings_and_exits_one() {
-        // X is bound in the tail and never used again -> W102.
-        let (dir, spec) = temp_spec("warn", "<v {<n N>}> :- <person {<name N> <x X>}>@src\n");
-        let cfg = parse_args(argv(&format!("lint {}", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("warning[W102]"), "{text}");
-        assert!(text.contains("0 error(s), 1 warning(s)"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lint_collects_multiple_defects_and_exits_two() {
-        // One unanswerable external (E005/E014 family) plus an unused
-        // variable: everything is reported in a single run.
-        let (dir, spec) = temp_spec(
-            "multi",
-            "<v {<n N> <l L>}> :- <person {<name N> <x X>}>@src AND conv(N, L)\n",
-        );
-        let cfg = parse_args(argv(&format!("lint {}", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(code, 2, "{text}");
-        assert!(text.contains("error[E005]"), "{text}");
-        assert!(text.contains("warning[W102]"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lint_json_round_trips_through_serde_json() {
-        let (dir, spec) = temp_spec("json", "<v {<n N>}> :- <person {<name N> <x X>}>@src\n");
-        let cfg = parse_args(argv(&format!("lint {} --json", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        assert_eq!(code, 1);
-        let text = String::from_utf8(out).unwrap();
-        let v: serde::Value = serde_json::from_str(&text).unwrap();
-        let items = v.as_array().unwrap();
-        assert_eq!(items.len(), 1, "{text}");
-        let d = &items[0];
-        assert_eq!(d.get("code").unwrap().as_str(), Some("W102"));
-        assert_eq!(d.get("severity").unwrap().as_str(), Some("warning"));
-        assert!(d.get("message").unwrap().as_str().unwrap().contains("X"));
-        let span = d.get("span").unwrap();
-        let start = span.get("start").unwrap().as_i64().unwrap();
-        let end = span.get("end").unwrap().as_i64().unwrap();
-        assert!(start < end, "{text}");
-        assert_eq!(d.get("line").unwrap().as_i64(), Some(1));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn check_subcommand_parsed() {
-        let cfg = parse_args(argv("check spec.msl --json --name m")).unwrap();
-        assert!(cfg.check && cfg.json && !cfg.lint);
-        assert_eq!(cfg.spec_path.as_ref().unwrap().to_str(), Some("spec.msl"));
-        assert_eq!(cfg.name, "m");
-        // The spec file is required, and --json needs lint or check mode.
-        assert!(parse_args(argv("check")).is_err());
+        // `lint` is an alias: it parses to the same mode as `check`.
+        for word in ["check", "lint"] {
+            let cfg = parse_args(argv(&format!("{word} spec.msl --json --name m"))).unwrap();
+            assert!(cfg.check && cfg.json);
+            assert_eq!(cfg.spec_path.as_ref().unwrap().to_str(), Some("spec.msl"));
+            assert_eq!(cfg.name, "m");
+            // The spec file is required.
+            assert!(parse_args(argv(word)).is_err());
+        }
+        // --json needs check mode.
+        assert!(parse_args(argv("--spec s.msl --json")).is_err());
     }
 
     fn temp_oem_source(dir: &std::path::Path) -> std::path::PathBuf {
@@ -1576,82 +1458,122 @@ mod tests {
         oem_file
     }
 
-    #[test]
-    fn check_clean_spec_exits_zero_and_prints_matrix() {
-        let (dir, spec) = temp_spec("check-clean", "<v {<n N>}> :- <person {<name N>}>@src\n");
-        let oem_file = temp_oem_source(&dir);
-        let cfg = parse_args(argv(&format!(
-            "check {} --oem src={}",
-            spec.display(),
-            oem_file.display()
-        )))
-        .unwrap();
-        let mut out = Vec::new();
-        let code = run_check(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("view 'v' (n): answerable for f, b"), "{text}");
-        assert!(text.contains("0 error(s), 0 warning(s)"), "{text}");
+    /// Run `medmaker check ARGS` and `medmaker lint ARGS` through [`run`],
+    /// assert the alias prints exactly what `check` prints, and return the
+    /// exit code and output.
+    fn check_and_lint(args: &str) -> (i32, String) {
+        let [checked, linted] = ["check", "lint"].map(|word| {
+            let cfg = parse_args(argv(&format!("{word} {args}"))).unwrap();
+            let mut out = Vec::new();
+            let code = run(&cfg, &mut out).unwrap();
+            (code, String::from_utf8(out).unwrap())
+        });
+        assert_eq!(checked, linted);
+        checked
+    }
+
+    /// [`check_and_lint`] on a temporary spec, optionally with a one-person
+    /// OEM file registered as source `src`.
+    fn check_spec(tag: &str, text: &str, with_src: bool, flags: &str) -> (i32, String) {
+        let (dir, spec) = temp_spec(tag, text);
+        let mut args = format!("{} {flags}", spec.display());
+        if with_src {
+            args += &format!(" --oem src={}", temp_oem_source(&dir).display());
+        }
+        let result = check_and_lint(&args);
         std::fs::remove_dir_all(&dir).ok();
+        result
+    }
+
+    const CLEAN: &str = "<v {<n N>}> :- <person {<name N>}>@src\n";
+    /// `X` is bound in the tail and never used again -> W102.
+    const UNUSED_X: &str = "<v {<n N>}> :- <person {<name N> <x X>}>@src\n";
+
+    #[test]
+    fn check_clean_specs_exit_zero() {
+        for (tag, text, with_src) in [
+            ("clean", CLEAN, false),
+            ("ms1", wrappers::scenario::MS1, false),
+            // A registered source runs the capability and summary passes.
+            ("clean-src", CLEAN, true),
+        ] {
+            let (code, text) = check_spec(tag, text, with_src, "");
+            assert_eq!(code, 0, "{tag}: {text}");
+            assert!(text.contains("0 error(s), 0 warning(s)"), "{tag}: {text}");
+            if with_src {
+                assert!(text.contains("view 'v' (n): answerable for f, b"), "{text}");
+            }
+        }
     }
 
     #[test]
-    fn check_flags_unknown_label_with_did_you_mean() {
+    fn check_renders_warnings_and_exits_one() {
+        let (code, text) = check_spec("w102", UNUSED_X, false, "");
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("warning[W102]"), "{text}");
+        assert!(text.contains("0 error(s), 1 warning(s)"), "{text}");
+
         // `nmae` is a typo for `name`, which the source's summary knows.
-        let (dir, spec) = temp_spec("check-w301", "<v {<n N>}> :- <person {<nmae N>}>@src\n");
-        let oem_file = temp_oem_source(&dir);
-        let cfg = parse_args(argv(&format!(
-            "check {} --oem src={}",
-            spec.display(),
-            oem_file.display()
-        )))
-        .unwrap();
-        let mut out = Vec::new();
-        let code = run_check(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let (code, text) = check_spec("w301", "<v {<n N>}> :- <person {<nmae N>}>@src\n", true, "");
         assert_eq!(code, 1, "{text}");
         assert!(text.contains("warning[W301]"), "{text}");
         assert!(text.contains("did you mean 'name'"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn check_collects_multiple_defects_and_exits_two() {
+        // One unanswerable external (E005/E014 family) plus an unused
+        // variable: everything is reported in a single run.
+        let (code, text) = check_spec(
+            "multi",
+            "<v {<n N> <l L>}> :- <person {<name N> <x X>}>@src AND conv(N, L)\n",
+            false,
+            "",
+        );
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains("error[E005]"), "{text}");
+        assert!(text.contains("warning[W102]"), "{text}");
     }
 
     #[test]
     fn check_flags_impossible_constant_as_error() {
         // `name` holds strings in the source; matching the integer 5
         // against it is provably empty.
-        let (dir, spec) = temp_spec(
-            "check-e301",
+        let (code, text) = check_spec(
+            "e301",
             "<v {<n N>}> :- <person {<name 5> <name N>}>@src\n",
+            true,
+            "",
         );
-        let oem_file = temp_oem_source(&dir);
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains("error[E301]"), "{text}");
+    }
+
+    #[test]
+    fn lint_rejects_the_type_mismatch_fixture_like_check() {
+        // `lint` used to run only the lint passes, so it printed
+        // `0 error(s)` and exited 0 on a spec the mediator rejects.
+        let specs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/specs");
         let cfg = parse_args(argv(&format!(
-            "check {} --oem src={}",
-            spec.display(),
-            oem_file.display()
+            "lint {specs}/type_mismatch.msl --oem src={specs}/src.oem"
         )))
         .unwrap();
         let mut out = Vec::new();
-        let code = run_check(&cfg, &mut out).unwrap();
+        let code = run(&cfg, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert_eq!(code, 2, "{text}");
         assert!(text.contains("error[E301]"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn check_json_has_diagnostics_and_views() {
-        let (dir, spec) = temp_spec("check-json", "<v {<n N>}> :- <person {<nmae N>}>@src\n");
-        let oem_file = temp_oem_source(&dir);
-        let cfg = parse_args(argv(&format!(
-            "check {} --json --oem src={}",
-            spec.display(),
-            oem_file.display()
-        )))
-        .unwrap();
-        let mut out = Vec::new();
-        let code = run_check(&cfg, &mut out).unwrap();
+        let (code, text) = check_spec(
+            "json-w301",
+            "<v {<n N>}> :- <person {<nmae N>}>@src\n",
+            true,
+            "--json",
+        );
         assert_eq!(code, 1);
-        let text = String::from_utf8(out).unwrap();
         let v: serde::Value = serde_json::from_str(&text).unwrap();
         let diags = v.get("diagnostics").unwrap().as_array().unwrap();
         assert!(
@@ -1673,55 +1595,30 @@ mod tests {
                 .is_empty(),
             "{text}"
         );
-        std::fs::remove_dir_all(&dir).ok();
+
+        // Every field of one diagnostic round-trips through serde_json.
+        let (code, text) = check_spec("json-w102", UNUSED_X, false, "--json");
+        assert_eq!(code, 1);
+        let v: serde::Value = serde_json::from_str(&text).unwrap();
+        let items = v.get("diagnostics").unwrap().as_array().unwrap();
+        assert_eq!(items.len(), 1, "{text}");
+        let d = &items[0];
+        assert_eq!(d.get("code").unwrap().as_str(), Some("W102"));
+        assert_eq!(d.get("severity").unwrap().as_str(), Some("warning"));
+        assert!(d.get("message").unwrap().as_str().unwrap().contains("X"));
+        let span = d.get("span").unwrap();
+        let start = span.get("start").unwrap().as_i64().unwrap();
+        let end = span.get("end").unwrap().as_i64().unwrap();
+        assert!(start < end, "{text}");
+        assert_eq!(d.get("line").unwrap().as_i64(), Some(1));
     }
 
     #[test]
     fn check_unparseable_spec_exits_two() {
-        let (dir, spec) = temp_spec("check-bad", "<<< not msl\n");
-        let cfg = parse_args(argv(&format!("check {} --json", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_check(&cfg, &mut out).unwrap();
+        let (code, text) = check_spec("bad", "<<< not msl\n", false, "--json");
         assert_eq!(code, 2);
-        let text = String::from_utf8(out).unwrap();
         let v: serde::Value = serde_json::from_str(&text).unwrap();
         assert!(v.get("error").is_some(), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lint_unparseable_spec_exits_two() {
-        let (dir, spec) = temp_spec("bad", "<<< not msl\n");
-        let cfg = parse_args(argv(&format!("lint {} --json", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        assert_eq!(code, 2);
-        let text = String::from_utf8(out).unwrap();
-        let v: serde::Value = serde_json::from_str(&text).unwrap();
-        assert!(v.get("error").is_some(), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lint_checks_capabilities_of_registered_sources() {
-        // `src` is a semi-structured OEM source with full capabilities, so
-        // registering it keeps the spec clean; the capability passes run.
-        let dir = std::env::temp_dir().join(format!("medmaker-lint-caps-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = dir.join("spec.msl");
-        std::fs::write(&spec, "<v {<n N>}> :- <person {<name N>}>@src\n").unwrap();
-        let oem_file = dir.join("src.oem");
-        std::fs::write(&oem_file, "<&p1, person, set, {<&n1, name, 'Ann'>}>\n").unwrap();
-        let cfg = parse_args(argv(&format!(
-            "lint {} --oem src={}",
-            spec.display(),
-            oem_file.display()
-        )))
-        .unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        assert_eq!(code, 0, "{}", String::from_utf8_lossy(&out));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -11,112 +11,15 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if cfg.lint {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        match medmaker_cli::run_lint(&cfg, &mut out) {
-            Ok(code) => {
-                let _ = out.flush();
-                std::process::exit(code);
-            }
-            Err(msg) => {
-                let _ = out.flush();
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if cfg.check {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        match medmaker_cli::run_check(&cfg, &mut out) {
-            Ok(code) => {
-                let _ = out.flush();
-                std::process::exit(code);
-            }
-            Err(msg) => {
-                let _ = out.flush();
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if cfg.explain_cmd {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        match medmaker_cli::run_explain(&cfg, &mut out) {
-            Ok(code) => {
-                let _ = out.flush();
-                std::process::exit(code);
-            }
-            Err(msg) => {
-                let _ = out.flush();
-                eprintln!("error: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if cfg.serve {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        match medmaker_cli::run_serve(&cfg, &mut out) {
-            Ok(code) => {
-                let _ = out.flush();
-                std::process::exit(code);
-            }
-            Err(msg) => {
-                let _ = out.flush();
-                eprintln!("error: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if cfg.cache_cmd.is_some() {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        match medmaker_cli::run_cache(&cfg, &mut out) {
-            Ok(code) => {
-                let _ = out.flush();
-                std::process::exit(code);
-            }
-            Err(msg) => {
-                let _ = out.flush();
-                eprintln!("error: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if cfg.invalidate {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        match medmaker_cli::run_invalidate(&cfg, &mut out) {
-            Ok(code) => {
-                let _ = out.flush();
-                std::process::exit(code);
-            }
-            Err(msg) => {
-                let _ = out.flush();
-                eprintln!("error: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let med = match medmaker_cli::build_mediator(&cfg) {
-        Ok(m) => m,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(1);
-        }
-    };
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let result = match &cfg.query {
-        Some(q) => medmaker_cli::run_query_in(&med, q, cfg.explain, cfg.lorel, &mut out),
-        None => medmaker_cli::repl_in(&med, cfg.lorel, std::io::stdin().lock(), &mut out),
-    };
-    if let Err(msg) = result {
-        let _ = out.flush();
-        eprintln!("error: {msg}");
-        std::process::exit(1);
+    let result = medmaker_cli::run(&cfg, &mut out);
+    let _ = out.flush();
+    match result {
+        Ok(code) => std::process::exit(code),
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            std::process::exit(if cfg.check { 2 } else { 1 });
+        }
     }
 }

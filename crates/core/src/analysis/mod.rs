@@ -31,8 +31,9 @@
 //! `required_condition_labels` (form-based sources that refuse to
 //! enumerate, after Békés & Szeredi's binding-pattern restrictions).
 //!
-//! Run it via `medmaker check SPEC`, or automatically inside
-//! [`crate::Mediator::new`] (switched by `MediatorOptions::analysis`).
+//! [`check`] runs these passes together with every lint pass; it is what
+//! `medmaker check SPEC` prints and what [`crate::Mediator::new`] runs
+//! before accepting a specification.
 
 mod answer;
 mod depgraph;
@@ -101,17 +102,52 @@ impl SpecAnalysis {
     }
 }
 
-/// Run the full specflow analysis. Returns the analysis result plus its
-/// diagnostics (unsorted; callers merge them with the lint findings and
-/// call [`msl::diag::sort`]).
-pub fn analyze_spec(
+/// Run every static-analysis pass over a parsed specification: the
+/// [`msl::lint`] passes, the capability and redundancy passes of
+/// [`crate::lint`], and the specflow passes of this module. `mediator` is
+/// the mediator's own name; `sources` describes each registered source
+/// (sources absent from the map are checked only as far as the spec text
+/// allows). Returns the analysis result plus every diagnostic, sorted by
+/// [`msl::diag::sort`]. This is the one static-analysis entry point:
+/// [`crate::Mediator::new`] rejects its error-level findings, and
+/// `medmaker check` prints all of them.
+pub fn check(
     spec: &Spec,
     spans: &SpecSpans,
     mediator: Symbol,
     sources: &BTreeMap<Symbol, SourceInfo>,
 ) -> (SpecAnalysis, Vec<Diagnostic>) {
-    let mut diags = Vec::new();
+    let caps: BTreeMap<Symbol, Capabilities> = sources
+        .iter()
+        .map(|(s, info)| (*s, info.caps.clone()))
+        .collect();
+    let mut diags = crate::lint::lint_spec_with_sources(spec, spans, mediator, &caps);
+    let analysis = analyze_spec(spec, spans, mediator, sources, &mut diags);
+    msl::diag::sort(&mut diags);
+    (analysis, diags)
+}
 
+/// Parse a specification text and [`check`] it. Lexer/parser failures
+/// abort and are returned as `Err`.
+pub fn check_text(
+    text: &str,
+    mediator: &str,
+    sources: &BTreeMap<Symbol, SourceInfo>,
+) -> Result<(Spec, Vec<Diagnostic>, SpecAnalysis), msl::MslError> {
+    let (spec, spans) = msl::parse_spec_spanned(text)?;
+    let (analysis, diags) = check(&spec, &spans, Symbol::intern(mediator), sources);
+    Ok((spec, diags, analysis))
+}
+
+/// The specflow stage of [`check`]: infer view schemas, liveness and
+/// answerability, appending its findings to `diags`.
+fn analyze_spec(
+    spec: &Spec,
+    spans: &SpecSpans,
+    mediator: Symbol,
+    sources: &BTreeMap<Symbol, SourceInfo>,
+    diags: &mut Vec<Diagnostic>,
+) -> SpecAnalysis {
     // Pass 1+2: propagate source summaries through the SCC-condensed view
     // dependency graph to infer every view's schema.
     let graph = depgraph::ViewGraph::build(spec, mediator);
@@ -119,44 +155,19 @@ pub fn analyze_spec(
 
     // Pass 3a: per-rule type and label diagnostics against summaries and
     // the inferred view schemas.
-    infer::rule_diagnostics(spec, spans, mediator, sources, &view_schemas, &mut diags);
+    infer::rule_diagnostics(spec, spans, mediator, sources, &view_schemas, diags);
 
     // Pass 3b: derivational liveness — dead views.
-    let dead_views = graph.dead_views(spec, spans, &mut diags);
+    let dead_views = graph.dead_views(spec, spans, diags);
 
     // Pass 3c: answerability matrices per view.
-    let matrices = answer::view_matrices(spec, spans, mediator, sources, &graph, &mut diags);
+    let matrices = answer::view_matrices(spec, spans, mediator, sources, &graph, diags);
 
-    (
-        SpecAnalysis {
-            mediator,
-            view_schemas,
-            dead_views,
-            matrices,
-            sources: sources.clone(),
-        },
-        diags,
-    )
-}
-
-/// Parse, lint **and** analyze a specification text — what `medmaker
-/// check` runs. The diagnostics are the union of every lint pass and every
-/// analysis pass, sorted for presentation. Lexer/parser failures abort and
-/// are returned as `Err`.
-pub fn check_text(
-    text: &str,
-    mediator: &str,
-    sources: &BTreeMap<Symbol, SourceInfo>,
-) -> Result<(Spec, Vec<Diagnostic>, SpecAnalysis), msl::MslError> {
-    let (spec, spans) = msl::parse_spec_spanned(text)?;
-    let med = Symbol::intern(mediator);
-    let caps: BTreeMap<Symbol, Capabilities> = sources
-        .iter()
-        .map(|(s, info)| (*s, info.caps.clone()))
-        .collect();
-    let mut diags = crate::lint::lint_spec_with_sources(&spec, &spans, med, &caps);
-    let (analysis, mut more) = analyze_spec(&spec, &spans, med, sources);
-    diags.append(&mut more);
-    msl::diag::sort(&mut diags);
-    Ok((spec, diags, analysis))
+    SpecAnalysis {
+        mediator,
+        view_schemas,
+        dead_views,
+        matrices,
+        sources: sources.clone(),
+    }
 }

@@ -15,8 +15,9 @@
 //!   head over an identical tail (`W104`), using the same containment test
 //!   the view expander applies to prune non-minimal unifiers.
 //!
-//! [`Mediator::new`](crate::Mediator::new) runs both stages, rejects
-//! error-level findings and keeps warnings; `medmaker lint` prints them.
+//! [`crate::analysis::check`] runs both stages together with the specflow
+//! passes: [`Mediator::new`](crate::Mediator::new) rejects its error-level
+//! findings and keeps warnings; `medmaker check` prints them.
 
 use engine::containment::contained_in;
 use engine::unify::Unifier;
@@ -28,15 +29,15 @@ use oem::Symbol;
 use std::collections::BTreeMap;
 use wrappers::Capabilities;
 
-/// Run the full speclint battery: every [`msl::lint`] pass plus the
-/// mediator-level capability and redundancy passes. `mediator` is the
-/// mediator's own name (self-references in recursive specifications are
-/// answered by expansion, not by a source, so they are skipped);
-/// `caps` maps each registered source to its declared capabilities.
-/// Sources absent from the map are skipped — [`crate::Mediator::new`]
-/// rejects unknown sources before linting, and the standalone CLI may
-/// simply have no sources to check against.
-pub fn lint_spec_with_sources(
+/// The lint stage of [`crate::analysis::check`]: every [`msl::lint`]
+/// pass plus the mediator-level capability and redundancy passes
+/// (unsorted). `mediator` is the mediator's own name (self-references in
+/// recursive specifications are answered by expansion, not by a source,
+/// so they are skipped); `caps` maps each registered source to its
+/// declared capabilities. Sources absent from the map are skipped —
+/// [`crate::Mediator::new`] rejects unknown sources before checking, and
+/// `medmaker check` may simply have no sources to check against.
+pub(crate) fn lint_spec_with_sources(
     spec: &Spec,
     spans: &SpecSpans,
     mediator: Symbol,
@@ -45,20 +46,7 @@ pub fn lint_spec_with_sources(
     let mut out = msl::lint::lint_spec(spec, spans);
     capability_lints(spec, spans, mediator, caps, &mut out);
     redundancy_lints(spec, spans, &mut out);
-    msl::diag::sort(&mut out);
     out
-}
-
-/// Parse and fully lint a specification text (what `medmaker lint` runs).
-/// Lexer/parser failures abort linting and are returned as `Err`.
-pub fn lint_text(
-    text: &str,
-    mediator: &str,
-    caps: &BTreeMap<Symbol, Capabilities>,
-) -> std::result::Result<(Spec, Vec<Diagnostic>), msl::MslError> {
-    let (spec, spans) = msl::parse_spec_spanned(text)?;
-    let diags = lint_spec_with_sources(&spec, &spans, Symbol::intern(mediator), caps);
-    Ok((spec, diags))
 }
 
 // ---------------------------------------------------------------------------
@@ -302,18 +290,24 @@ mod tests {
         m
     }
 
+    /// Parse `text` and run this module's stage over it, sorted.
+    fn lint(text: &str, caps: &BTreeMap<Symbol, Capabilities>) -> Vec<Diagnostic> {
+        let (spec, spans) = msl::parse_spec_spanned(text).unwrap();
+        let mut diags = lint_spec_with_sources(&spec, &spans, sym("med"), caps);
+        msl::diag::sort(&mut diags);
+        diags
+    }
+
     fn codes_of(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.code).collect()
     }
 
     #[test]
     fn clean_spec_with_capable_source_has_no_diagnostics() {
-        let (_, diags) = lint_text(
+        let diags = lint(
             "<v {<n N>}> :- <person {<name N>}>@src",
-            "med",
             &caps_for("src", Capabilities::full()),
-        )
-        .unwrap();
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -321,15 +315,13 @@ mod tests {
     fn unsupported_condition_label_is_compensated_warning() {
         // The paper's whois/year example: answerable, but only by a
         // client-side filter.
-        let (_, diags) = lint_text(
+        let diags = lint(
             "<v {<n N>}> :- <person {<name N> <year 3>}>@whois",
-            "med",
             &caps_for(
                 "whois",
                 Capabilities::full().without_condition_on(sym("year")),
             ),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_COMPENSATED]);
         let d = &diags[0];
         assert!(!d.is_error());
@@ -340,26 +332,22 @@ mod tests {
 
     #[test]
     fn condition_inside_rest_is_also_compensated() {
-        let (_, diags) = lint_text(
+        let diags = lint(
             "<v {<n N> R}> :- <person {<name N> | R:{<year 3>}}>@whois",
-            "med",
             &caps_for(
                 "whois",
                 Capabilities::full().without_condition_on(sym("year")),
             ),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_COMPENSATED]);
     }
 
     #[test]
     fn label_variable_at_incapable_source_is_error() {
-        let (_, diags) = lint_text(
+        let diags = lint(
             "<v {<l L> <x X>}> :- <person {<L X>}>@whois",
-            "med",
             &caps_for("whois", Capabilities::restricted()),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_UNANSWERABLE]);
         assert!(diags[0].is_error());
         assert!(
@@ -371,12 +359,10 @@ mod tests {
 
     #[test]
     fn wildcard_at_incapable_source_is_error() {
-        let (_, diags) = lint_text(
+        let diags = lint(
             "<v {<y Y>}> :- <p {* <year Y>}>@s",
-            "med",
             &caps_for("s", Capabilities::restricted()),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_UNANSWERABLE]);
         assert!(
             diags[0].message.contains("wildcard"),
@@ -391,12 +377,10 @@ mod tests {
         c.rest_conditions = false;
         // `<year Y>` inside the rest spec is a retrieval, not a strippable
         // condition — the source would have to evaluate it.
-        let (_, diags) = lint_text(
+        let diags = lint(
             "<v {<n N> <y Y> R}> :- <p {<n N> | R:{<year Y>}}>@s",
-            "med",
             &caps_for("s", c),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_UNANSWERABLE]);
         assert!(diags[0].message.contains("rest"), "{}", diags[0].message);
     }
@@ -407,37 +391,31 @@ mod tests {
         c.rest_conditions = false;
         // The year condition is stripped into a client-side filter before
         // the source sees the query, so no error.
-        let (_, diags) = lint_text(
+        let diags = lint(
             "<v {<n N> R}> :- <p {<n N> | R:{<year 3>}}>@s",
-            "med",
             &caps_for("s", c),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_COMPENSATED]);
     }
 
     #[test]
     fn self_references_and_unknown_sources_are_skipped() {
-        let (_, diags) = lint_text(
+        let diags = lint(
             "<anc {<of X> <is Y>}> :- <parent {<of X> <is Y>}>@src\n\
              <anc {<of X> <is Z>}> :- <parent {<of X> <is Y>}>@src \
              AND <anc {<of Y> <is Z>}>@med",
-            "med",
             &BTreeMap::new(),
-        )
-        .unwrap();
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn duplicate_rule_up_to_renaming_flagged() {
-        let (_, diags) = lint_text(
+        let diags = lint(
             "<v {<n N>}> :- <person {<name N>}>@s\n\
              <v {<n M>}> :- <person {<name M>}>@s",
-            "med",
             &BTreeMap::new(),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::DUPLICATE_RULE]);
         assert!(diags[0].message.contains("rule 1"), "{}", diags[0].message);
         assert!(!diags[0].span.is_empty());
@@ -449,7 +427,7 @@ mod tests {
         // (The narrow rule also earns a W102 for its now-unused `N`; this
         // test only cares about the redundancy finding.)
         fn subsumed_of(spec: &str) -> Vec<Diagnostic> {
-            let (_, diags) = lint_text(spec, "med", &BTreeMap::new()).unwrap();
+            let diags = lint(spec, &BTreeMap::new());
             diags
                 .into_iter()
                 .filter(|d| d.code == codes::SUBSUMED_RULE)
@@ -474,13 +452,11 @@ mod tests {
 
     #[test]
     fn different_tails_are_not_redundant() {
-        let (_, diags) = lint_text(
+        let diags = lint(
             "<v {<n N>}> :- <person {<name N>}>@s\n\
              <v {<n N>}> :- <employee {<name N>}>@s",
-            "med",
             &BTreeMap::new(),
-        )
-        .unwrap();
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -492,7 +468,7 @@ mod tests {
         let mut caps = BTreeMap::new();
         caps.insert(sym("whois"), whois.capabilities().clone());
         caps.insert(sym("cs"), cs.capabilities().clone());
-        let (_, diags) = lint_text(wrappers::scenario::MS1, "med", &caps).unwrap();
+        let diags = lint(wrappers::scenario::MS1, &caps);
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -30,8 +30,6 @@ pub struct MediatorOptions {
     /// Unifier enumeration mode. `Exhaustive` (default) is complete;
     /// `Minimal` reproduces the paper's worked expansions.
     pub unify_mode: UnifyMode,
-    /// Evaluate recursive specifications by fixpoint materialization.
-    pub allow_recursion: bool,
     /// Record per-node execution traces (explain).
     pub trace: bool,
     /// Execute independent rule chains on separate threads.
@@ -45,12 +43,6 @@ pub struct MediatorOptions {
     /// `--cache` every query pays its round-trips, exactly as before the
     /// cache existed.
     pub cache: CacheOptions,
-    /// Run the whole-spec dataflow analysis ([`crate::analysis`]) at
-    /// construction. Error-level findings (`E301`/`E302`) reject the
-    /// specification like lint errors; warnings join
-    /// [`Mediator::lint_warnings`], and the result feeds the planner's
-    /// infeasible-chain pruning. On by default.
-    pub analysis: bool,
     /// Rows per streamed batch ([`ExecOptions::batch_size`]).
     pub batch_size: usize,
 }
@@ -99,13 +91,11 @@ impl Default for MediatorOptions {
         MediatorOptions {
             planner: PlannerOptions::default(),
             unify_mode: UnifyMode::Exhaustive,
-            allow_recursion: true,
             trace: false,
             parallel: false,
             learn_stats: true,
             fault: crate::retry::FaultOptions::default(),
             cache: CacheOptions::default(),
-            analysis: true,
             batch_size: ExecOptions::default().batch_size,
         }
     }
@@ -138,9 +128,9 @@ pub struct Mediator {
     caps: Capabilities,
     lint_warnings: Vec<msl::Diagnostic>,
     /// Whole-spec analysis result ([`crate::analysis`]), computed at
-    /// construction when [`MediatorOptions::analysis`] is on. The planner
-    /// consults it to prune provably-empty chains.
-    analysis: Option<crate::analysis::SpecAnalysis>,
+    /// construction. The planner consults it to prune provably-empty
+    /// chains.
+    analysis: crate::analysis::SpecAnalysis,
     /// The source-answer cache. Persists across queries (that is the
     /// point); rebuilt by [`Mediator::with_options`] so a reconfigured
     /// cache starts cold.
@@ -165,10 +155,7 @@ impl Mediator {
         )
     }
 
-    /// Like [`Mediator::new`], but with an explicit option set — in
-    /// particular [`MediatorOptions::analysis`], which must be decided
-    /// before construction because the analysis runs (and can reject the
-    /// specification) while the mediator is built.
+    /// Like [`Mediator::new`], but with an explicit option set.
     pub fn new_with_options(
         name: &str,
         spec_text: &str,
@@ -176,7 +163,11 @@ impl Mediator {
         registry: ExternalRegistry,
         options: MediatorOptions,
     ) -> Result<Mediator> {
-        let spec = MediatorSpec::parse(name, spec_text)?;
+        let (parsed, spans) = msl::parse_spec_spanned(spec_text)?;
+        let spec = MediatorSpec {
+            name: Symbol::intern(name),
+            spec: parsed,
+        };
         spec.check_registry(&registry)?;
         let mut map = HashMap::new();
         for s in sources {
@@ -189,45 +180,20 @@ impl Mediator {
                 return Err(MedError::UnknownSource(s.as_str()));
             }
         }
-        // speclint (§3.4, §3.5): every static-analysis pass, including the
-        // capability checks against the registered sources' declarations.
-        // Error-level findings mean some rule can never be answered —
-        // reject the specification outright; warnings are kept and exposed
-        // through [`Mediator::lint_warnings`].
-        let caps_by_source: std::collections::BTreeMap<Symbol, Capabilities> = map
+        // Static analysis (§3.4, §3.5): every lint and specflow pass,
+        // including the capability and type checks against the registered
+        // sources. Error-level findings mean some rule is malformed or can
+        // never be answered — reject the specification with all of them;
+        // warnings are kept and exposed through [`Mediator::lint_warnings`].
+        let infos: std::collections::BTreeMap<Symbol, crate::analysis::SourceInfo> = map
             .iter()
-            .map(|(n, w)| (*n, w.capabilities().clone()))
+            .map(|(n, w)| (*n, crate::analysis::SourceInfo::of_wrapper(w.as_ref())))
             .collect();
-        let (_, mut diags) = crate::lint::lint_text(spec_text, name, &caps_by_source)?;
+        let (analysis, mut diags) = crate::analysis::check(&spec.spec, &spans, spec.name, &infos);
         if diags.iter().any(|d| d.is_error()) {
             diags.retain(|d| d.is_error());
             return Err(MedError::Lint(diags));
         }
-        let mut lint_warnings = diags;
-        // specflow (the whole-spec dataflow analysis): interprocedural type
-        // inference and answerability over the view dependency graph.
-        // Error-level findings mean a provably-empty join (`E301`) or a
-        // statically unanswerable view (`E302`) — rejected like lint
-        // errors; warnings join the lint warnings.
-        let analysis = if options.analysis {
-            let (parsed, spans) = msl::parse_spec_spanned(spec_text)?;
-            let infos: std::collections::BTreeMap<Symbol, crate::analysis::SourceInfo> = map
-                .iter()
-                .map(|(n, w)| (*n, crate::analysis::SourceInfo::of_wrapper(w.as_ref())))
-                .collect();
-            let (analysis, mut adiags) =
-                crate::analysis::analyze_spec(&parsed, &spans, spec.name, &infos);
-            if adiags.iter().any(|d| d.is_error()) {
-                adiags.retain(|d| d.is_error());
-                msl::diag::sort(&mut adiags);
-                return Err(MedError::Lint(adiags));
-            }
-            lint_warnings.append(&mut adiags);
-            msl::diag::sort(&mut lint_warnings);
-            Some(analysis)
-        } else {
-            None
-        };
         // Seed the statistics cache with whatever the wrappers offer.
         let mut stats = StatsCache::new();
         for (name, w) in &map {
@@ -252,7 +218,7 @@ impl Mediator {
             options,
             stats,
             caps,
-            lint_warnings,
+            lint_warnings: diags,
             analysis,
             cache,
         })
@@ -273,20 +239,14 @@ impl Mediator {
             options.cache.clone(),
             Some(Arc::clone(&self.stats)),
         ));
-        if !options.analysis {
-            // The analysis can only be *disabled* after construction: it
-            // runs while the mediator is built (use
-            // [`Mediator::new_with_options`] to skip it up front).
-            self.analysis = None;
-        }
         self.options = options;
         self
     }
 
-    /// The whole-spec analysis result, when [`MediatorOptions::analysis`]
-    /// is on (the default).
+    /// The whole-spec analysis result computed at construction (always
+    /// `Some`).
     pub fn analysis(&self) -> Option<&crate::analysis::SpecAnalysis> {
-        self.analysis.as_ref()
+        Some(&self.analysis)
     }
 
     /// Drop every cached source answer for `source` — the explicit
@@ -359,9 +319,6 @@ impl Mediator {
         msl::validate::validate_rule(query, &self.spec.spec.externals)?;
 
         if self.spec.is_recursive() {
-            if !self.options.allow_recursion {
-                return Err(MedError::RecursionDisabled(self.spec.name.as_str()));
-            }
             return self.query_recursive(query);
         }
 
@@ -380,7 +337,7 @@ impl Mediator {
                 registry: &self.registry,
                 stats: &stats,
                 options: &self.options.planner,
-                analysis: self.analysis.as_ref(),
+                analysis: Some(&self.analysis),
             };
             plan(&program, &ctx)?
         };
@@ -456,7 +413,7 @@ impl Mediator {
                 registry: &self.registry,
                 stats: &stats,
                 options: &self.options.planner,
-                analysis: self.analysis.as_ref(),
+                analysis: Some(&self.analysis),
             };
             plan(&program, &ctx)?
         };
@@ -509,7 +466,7 @@ impl Mediator {
                 registry: &self.registry,
                 stats: &stats,
                 options: &self.options.planner,
-                analysis: self.analysis.as_ref(),
+                analysis: Some(&self.analysis),
             };
             plan(&program, &ctx)?
         };
@@ -736,33 +693,6 @@ mod tests {
         .unwrap();
         let results = med.query_text("X :- X:<anc {<of 'a'>}>@m").unwrap();
         assert_eq!(results.top_level().len(), 2); // a→b, a→c
-    }
-
-    #[test]
-    fn recursion_can_be_disabled() {
-        let mut s = ObjectStore::new();
-        oem::ObjectBuilder::set("parent")
-            .atom("of", "a")
-            .atom("is", "b")
-            .build_top(&mut s);
-        let src: Arc<dyn Wrapper> = Arc::new(wrappers::SemiStructuredWrapper::new("src", s));
-        let med = Mediator::new(
-            "m",
-            "<anc {<of X> <is Y>}> :- <parent {<of X> <is Y>}>@src\n\
-             <anc {<of X> <is Z>}> :- <parent {<of X> <is Y>}>@src \
-             AND <anc {<of Y> <is Z>}>@m",
-            vec![src],
-            standard_registry(),
-        )
-        .unwrap()
-        .with_options(MediatorOptions {
-            allow_recursion: false,
-            ..Default::default()
-        });
-        assert!(matches!(
-            med.query_text("X :- X:<anc {}>@m"),
-            Err(MedError::RecursionDisabled(_))
-        ));
     }
 
     #[test]

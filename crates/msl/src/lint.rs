@@ -24,22 +24,14 @@
 
 use crate::ast::*;
 use crate::diag::{codes, Diagnostic, Span};
-use crate::error::Result;
-use crate::parser::{parse_spec_spanned, SpecSpans};
+use crate::parser::SpecSpans;
 use crate::validate::{is_builtin, BUILTIN_PREDICATES};
 use oem::{Symbol, Value};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
-/// Parse `input` and lint it, returning the spec, its span table and all
-/// diagnostics (errors first, then by source position).
-pub fn lint_source(input: &str) -> Result<(Spec, SpecSpans, Vec<Diagnostic>)> {
-    let (spec, spans) = parse_spec_spanned(input)?;
-    let diags = lint_spec(&spec, &spans);
-    Ok((spec, spans, diags))
-}
-
-/// Run every spec-level lint pass. `spans` may be [`SpecSpans::default`]
+/// Run every spec-level lint pass, returning all diagnostics (errors
+/// first, then by source position). `spans` may be [`SpecSpans::default`]
 /// for programmatically built specs (diagnostics then carry empty spans).
 pub fn lint_spec(spec: &Spec, spans: &SpecSpans) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -751,10 +743,11 @@ fn tail_term_diags(t: &Term, what: &str, span: Span, out: &mut Vec<Diagnostic>) 
 mod tests {
     use super::*;
     use crate::diag::Severity;
+    use crate::parser::parse_spec_spanned;
 
     fn lint(src: &str) -> Vec<Diagnostic> {
-        let (_, _, diags) = lint_source(src).unwrap();
-        diags
+        let (spec, spans) = parse_spec_spanned(src).unwrap();
+        lint_spec(&spec, &spans)
     }
 
     fn codes_of(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -947,7 +940,7 @@ mod tests {
     #[test]
     fn spans_point_at_the_offending_tail_item() {
         let src = "<o {<x X>}> :- <p {<x X>}>@s AND frob(X)";
-        let (_, _, diags) = lint_source(src).unwrap();
+        let diags = lint(src);
         let d = diags
             .iter()
             .find(|d| d.code == codes::UNDECLARED_EXTERNAL)

@@ -5,7 +5,9 @@
 //! the **first error-level** diagnostic as an [`MslError::Validate`],
 //! preserving the historical fail-fast API and error messages. Callers
 //! that want every finding (with codes, severities and spans) should call
-//! [`crate::lint::lint_spec`] or [`crate::lint::lint_source`] directly.
+//! [`crate::lint::lint_spec`] on the output of
+//! [`crate::parse_spec_spanned`], or `medmaker::analysis::check`, which
+//! adds the passes that need source capabilities and summaries.
 
 use crate::ast::*;
 use crate::diag::Diagnostic;

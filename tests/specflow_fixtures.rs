@@ -3,10 +3,11 @@
 //! clean. These are the same files CI feeds to `medmaker check --json`.
 
 use medmaker::analysis::check_text;
-use medmaker::SourceInfo;
+use medmaker::{MedError, Mediator, SourceInfo};
 use oem::{sym, Symbol};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use wrappers::{Capabilities, SemiStructuredWrapper};
 
 fn specs_dir() -> PathBuf {
@@ -17,14 +18,17 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(specs_dir().join(name)).unwrap()
 }
 
-/// The `src` source every fixture matches against, summarized from the
+/// The `src` source every fixture matches against, loaded from the
 /// shared `src.oem` store (closed schema: string name/dept, int year).
+fn src_wrapper() -> SemiStructuredWrapper {
+    let store = oem::parser::parse_store(&fixture("src.oem")).unwrap();
+    SemiStructuredWrapper::new("src", store)
+}
+
+/// [`src_wrapper`]'s capabilities and summary.
 fn src_info() -> BTreeMap<Symbol, SourceInfo> {
-    let text = fixture("src.oem");
-    let store = oem::parser::parse_store(&text).unwrap();
-    let w = SemiStructuredWrapper::new("src", store);
     let mut m = BTreeMap::new();
-    m.insert(sym("src"), SourceInfo::of_wrapper(&w));
+    m.insert(sym("src"), SourceInfo::of_wrapper(&src_wrapper()));
     m
 }
 
@@ -108,5 +112,35 @@ fn fixtures_trigger_pairwise_distinct_codes() {
         assert!(codes_of(&diags).contains(&want), "{file}: {diags:?}");
         assert!(!seen.contains(&want), "{file} repeats {want}");
         seen.push(want);
+    }
+}
+
+#[test]
+fn mediator_construction_agrees_with_check() {
+    // `Mediator::new` runs the same static analysis as `medmaker check`:
+    // it rejects exactly check's errors and keeps exactly its warnings.
+    for file in [
+        "good.msl",
+        "type_mismatch.msl",
+        "unknown_label.msl",
+        "dead_view.msl",
+    ] {
+        let text = fixture(file);
+        let (_, diags, _) = check_text(&text, "med", &src_info()).unwrap();
+        let built = Mediator::new(
+            "med",
+            &text,
+            vec![Arc::new(src_wrapper())],
+            medmaker::externals::standard_registry(),
+        );
+        match built {
+            Ok(med) => assert_eq!(med.lint_warnings(), &diags[..], "{file}"),
+            Err(MedError::Lint(errors)) => {
+                let want: Vec<_> = diags.into_iter().filter(|d| d.is_error()).collect();
+                assert!(!want.is_empty(), "{file}");
+                assert_eq!(errors, want, "{file}");
+            }
+            Err(e) => panic!("{file}: unexpected error {e}"),
+        }
     }
 }
